@@ -1,13 +1,19 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench-smoke lint trace-smoke faults-smoke check-smoke store-smoke obs-smoke stream-smoke proxy-smoke cdn-smoke
+.PHONY: test perfbench-test bench-smoke lint trace-smoke faults-smoke check-smoke store-smoke obs-smoke stream-smoke proxy-smoke cdn-smoke
 
 # Tier-1 suite. tests/test_parallel.py runs 2- and 4-worker campaigns
 # against the serial baseline, so the parallel path is exercised on
 # every `make test` and cannot rot silently.
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+
+# The repo benchmark's own helper tests (statistics, output digests,
+# layer probes, result comparison).  perfbench/ is not on the tier-1
+# path, so this target is what keeps those helpers from rotting.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # Quick perf sanity: a small campaign (parallel cross-check when ≥2
 # CPUs are available), substrate events/sec for every built kernel,

@@ -113,16 +113,29 @@ class Timer:
     """A restartable one-shot timer bound to an :class:`EventLoop`.
 
     Transports use timers for retransmission timeouts: ``start`` arms the
-    timer, ``stop`` disarms it, and re-arming implicitly cancels the
-    previous deadline.
+    timer, ``stop`` disarms it, and re-arming replaces the previous
+    deadline.
+
+    Re-arming is lazy.  The timer stores its true *absolute* deadline
+    and keeps at most one scheduled wake-up.  ``start`` touches the
+    event queue only when the new deadline is *earlier* than the
+    pending wake-up (or nothing is pending); a later deadline just
+    overwrites the stored one.  A wake-up that arrives before the
+    stored deadline is not a firing: it reschedules itself with
+    ``call_at(deadline)`` and the callback does not run.  The callback
+    therefore runs at exactly the time an eager stop+start would have
+    fired, computed by the same ``now + delay_ms`` expression, while a
+    timer pushed back on every ACK costs one queue entry per deadline
+    interval instead of one per push.
     """
 
-    __slots__ = ("_loop", "_callback", "_event")
+    __slots__ = ("_loop", "_callback", "_event", "_deadline")
 
     def __init__(self, loop: "EventLoop", callback: Callable[[], None]) -> None:
         self._loop = loop
         self._callback = callback
         self._event: ScheduledEvent | None = None
+        self._deadline = 0.0
 
     @property
     def armed(self) -> bool:
@@ -131,8 +144,15 @@ class Timer:
 
     def start(self, delay_ms: float) -> None:
         """Arm (or re-arm) the timer to fire ``delay_ms`` from now."""
-        self.stop()
-        self._event = self._loop.call_later(delay_ms, self._fire)
+        loop = self._loop
+        deadline = loop.now + delay_ms
+        self._deadline = deadline
+        event = self._event
+        if event is not None:
+            if event.time <= deadline:
+                return  # the pending wake-up re-checks the deadline
+            event.cancel()
+        self._event = loop.call_at(deadline, self._fire)
 
     def stop(self) -> None:
         """Disarm the timer if armed."""
@@ -141,6 +161,12 @@ class Timer:
             self._event = None
 
     def _fire(self) -> None:
+        loop = self._loop
+        if loop.now < self._deadline:
+            # Early wake-up: the deadline moved later since this event
+            # was scheduled.  Sleep until the stored absolute deadline.
+            self._event = loop.call_at(self._deadline, self._fire)
+            return
         self._event = None
         self._callback()
 

@@ -108,13 +108,6 @@ class Link:
         # settled into the delivered stats once the clock reaches them.
         self._pending_reserved: deque[tuple[float, int]] = deque()
 
-    def serialization_delay_ms(self, packet: Packet) -> float:
-        """Time to clock ``packet`` onto the wire at the link rate."""
-        if self.rate_mbps is None:
-            return 0.0
-        bits = packet.size_bytes * 8
-        return bits / (self.rate_mbps * 1000.0)
-
     @property
     def fast_path_eligible(self) -> bool:
         """Whether delivery on this link is a pure function of size+time.
@@ -192,15 +185,26 @@ class Link:
         now = self.loop.now
         if self._pending_reserved:
             self.settle_reserved(now)
-        self.stats.sent_packets += 1
-        self.stats.sent_bytes += packet.size_bytes
+        size = packet.size_bytes
+        stats = self.stats
+        stats.sent_packets += 1
+        stats.sent_bytes += size
 
-        start = max(now, self._tx_free_at)
-        tx_done = start + self.serialization_delay_ms(packet)
-        self.stats.busy_time_ms += tx_done - start
+        # Serialization time.  The expression must stay
+        # ``(size * 8) / (rate * 1000.0)``, as in reserve_transmit(): a
+        # precomputed reciprocal rounds differently and shifts every
+        # downstream timestamp.
+        tx_free_at = self._tx_free_at
+        start = now if now > tx_free_at else tx_free_at
+        rate = self.rate_mbps
+        if rate is None:
+            tx_done = start
+        else:
+            tx_done = start + (size * 8) / (rate * 1000.0)
+        stats.busy_time_ms += tx_done - start
         self._tx_free_at = tx_done
         if self.sampler is not None:
-            self.sampler.on_transmit(now, tx_done, packet.size_bytes)
+            self.sampler.on_transmit(now, tx_done, size)
 
         # The stochastic loss draw happens unconditionally, *before* the
         # deterministic drop filter is consulted: a filter-dropped packet
@@ -209,13 +213,15 @@ class Link:
         loss_dropped = self.loss.should_drop(self.rng)
         filter_dropped = self.drop_filter is not None and self.drop_filter(packet)
         if loss_dropped or filter_dropped:
-            self.stats.dropped_packets += 1
+            stats.dropped_packets += 1
             return False
 
         delay = self.delay_ms
         if self.jitter_ms > 0:
             delay += self.rng.uniform(0.0, self.jitter_ms)
-        deliver_at = max(tx_done + delay, self._last_delivery_at)
+        deliver_at = tx_done + delay
+        if deliver_at < self._last_delivery_at:
+            deliver_at = self._last_delivery_at
         self._last_delivery_at = deliver_at
         self.loop.call_at(deliver_at, self._deliver, packet, on_deliver)
         return True

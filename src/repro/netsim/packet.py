@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Conventional Ethernet-ish maximum segment size used by both transports.
 DEFAULT_MSS = 1460
@@ -56,7 +56,6 @@ class StreamChunk:
         return self.offset + self.size
 
 
-@dataclass(slots=True)
 class Packet:
     """A simulated packet.
 
@@ -69,31 +68,62 @@ class Packet:
     flattened).  ``ack_delay_ms`` reports how long the receiver held the
     ACK back (RFC 9002 §5.3) so the sender can exclude delayed-ack time
     from its RTT samples.
+
+    ``payload_bytes`` (total stream bytes carried) and ``size_bytes``
+    (payload plus :data:`HEADER_BYTES`, unless given explicitly) are
+    computed once here: every packet is sized on each link hop and in
+    the sender's in-flight accounting, so re-summing the chunks per read
+    would dominate the per-packet cost.  ``chunks`` is therefore treated
+    as immutable after construction.
     """
 
-    kind: PacketKind
-    seq: int = -1
-    chunks: tuple[StreamChunk, ...] = ()
-    ack_seq: int = -1
-    sack: tuple[int, ...] = ()
-    ack_delay_ms: float = 0.0
-    size_bytes: int = field(default=0)
-    uid: int = field(default_factory=lambda: next(_packet_ids))
-    sent_at: float = -1.0
-    retransmission: bool = False
-    #: TCP models use this: position of the packet's payload in the
-    #: connection-wide byte stream (the receiver reassembles in this
-    #: order, which is what produces head-of-line blocking).
-    conn_start: int = -1
+    __slots__ = (
+        "kind",
+        "seq",
+        "chunks",
+        "ack_seq",
+        "sack",
+        "ack_delay_ms",
+        "payload_bytes",
+        "size_bytes",
+        "uid",
+        "sent_at",
+        "retransmission",
+        "conn_start",
+    )
 
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            self.size_bytes = HEADER_BYTES + self.payload_bytes
-
-    @property
-    def payload_bytes(self) -> int:
-        """Total stream bytes carried by this packet."""
-        return sum(chunk.size for chunk in self.chunks)
+    def __init__(
+        self,
+        kind: PacketKind,
+        seq: int = -1,
+        chunks: tuple[StreamChunk, ...] = (),
+        ack_seq: int = -1,
+        sack: tuple[int, ...] = (),
+        ack_delay_ms: float = 0.0,
+        size_bytes: int = 0,
+        uid: int | None = None,
+        sent_at: float = -1.0,
+        retransmission: bool = False,
+        conn_start: int = -1,
+    ) -> None:
+        self.kind = kind
+        self.seq = seq
+        self.chunks = chunks
+        self.ack_seq = ack_seq
+        self.sack = sack
+        self.ack_delay_ms = ack_delay_ms
+        payload = 0
+        for chunk in chunks:
+            payload += chunk.size
+        self.payload_bytes = payload
+        self.size_bytes = size_bytes if size_bytes > 0 else HEADER_BYTES + payload
+        self.uid = next(_packet_ids) if uid is None else uid
+        self.sent_at = sent_at
+        self.retransmission = retransmission
+        #: TCP models use this: position of the packet's payload in the
+        #: connection-wide byte stream (the receiver reassembles in this
+        #: order, which is what produces head-of-line blocking).
+        self.conn_start = conn_start
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         chunks = ",".join(

@@ -22,9 +22,9 @@ that an attached connection sampler forces the analytic fast path off
 semantics.
 
 When sampling is disabled the transports hold the falsy
-:data:`NULL_SAMPLER` singleton and hot paths guard with
-``if self.sampler:`` — one attribute load plus a boolean check, never
-a call.
+:data:`NULL_SAMPLER` singleton; a connection reads its truth value
+once, at construction, and hot paths guard with ``if self._sampling:``
+— one attribute load plus a boolean check, never a call.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ class NullSampler:
     """The do-nothing, falsy sampler installed when sampling is off.
 
     Same contract as :class:`~repro.obs.trace.NullTracer`: hot paths
-    guard with ``if self.sampler:`` so the disabled cost is one
-    attribute load and a boolean check.
+    guard with ``if self._sampling:`` (fixed at construction) so the
+    disabled cost is one attribute load and a boolean check.
     """
 
     __slots__ = ()

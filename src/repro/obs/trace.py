@@ -8,9 +8,11 @@ acked and lost, cwnd updates, PTO fires, handshake phase transitions,
 intervals — for exactly one simulated connection.
 
 When tracing is disabled the transports hold the falsy
-:data:`NULL_TRACER` singleton, and every instrumentation point is
-guarded with ``if self.tracer:`` — the disabled cost is one attribute
-load and a boolean check, never a method call or an allocation.  That
+:data:`NULL_TRACER` singleton.  A connection reads its tracer's truth
+value once, at construction, into a plain ``_tracing`` bool, and every
+instrumentation point is guarded with ``if self._tracing:`` — the
+disabled cost is one attribute load and a boolean check, never a
+method call (not even ``__bool__``) or an allocation.  That
 is what keeps tracer-off campaigns bit-identical and within the <5%
 overhead budget.
 """
@@ -94,7 +96,8 @@ _METRICS_KEYS = ("cwnd", "ssthresh", "bytes_in_flight")
 class NullTracer:
     """The do-nothing, falsy tracer installed when tracing is off.
 
-    Falsiness is the contract: hot paths guard with ``if self.tracer:``
+    Falsiness is the contract: connections turn it into a ``_tracing``
+    bool at construction and hot paths guard with ``if self._tracing:``,
     so a disabled connection never even enters the tracing call.  The
     no-op methods keep unguarded (cold-path) call sites safe.
     """

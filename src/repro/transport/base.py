@@ -161,18 +161,6 @@ class _ServerStream:
 
 
 @dataclass(slots=True)
-class _Inflight:
-    """A data packet awaiting acknowledgement."""
-
-    seq: int
-    chunk: StreamChunk
-    conn_start: int
-    size_bytes: int
-    sent_at: float
-    retransmission: bool
-
-
-@dataclass(slots=True)
 class _PendingRequestPacket:
     packet: Packet
     timer: Timer
@@ -205,22 +193,30 @@ class BaseConnection:
         self.loop = loop
         self.path = path
         self.config = config or TransportConfig()
-        #: qlog-style event tracer.  The null tracer is *falsy*; every
-        #: hot-path instrumentation point is guarded with
-        #: ``if self.tracer:`` so disabled tracing costs one attribute
-        #: load + bool check and results stay bit-identical.
+        #: qlog-style event tracer.  The null tracer is *falsy*; its
+        #: truth value is read once into ``_tracing`` and every hot-path
+        #: instrumentation point is guarded with ``if self._tracing:``,
+        #: so disabled tracing costs one attribute load and results stay
+        #: bit-identical.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Invariant checker (strict mode); same null-object pattern.
+        #: Invariant checker (strict mode); same null-object pattern,
+        #: guarded with ``if self._checking:``.
         self.check = check if check is not None else NULL_CHECK
         #: Sim-time metrics sampler (repro.obs.metrics); same falsy
-        #: null-object pattern, guarded with ``if self.sampler:``.
+        #: null-object pattern, guarded with ``if self._sampling:``.
         self.sampler = sampler if sampler is not None else NULL_SAMPLER
+        # Fixed at construction: none of the three is reassigned on a
+        # live connection, and a plain bool skips the per-guard
+        # ``__bool__`` call on the null objects.
+        self._tracing = bool(self.tracer)
+        self._checking = bool(self.check)
+        self._sampling = bool(self.sampler)
         self.cc = cc or make_congestion_controller(
             self.config.congestion_control,
             self.config.mss,
             self.config.initial_cwnd_packets,
         )
-        if self.check:
+        if self._checking:
             # Observe-only proxy: every CC transition is sanity-checked
             # but the wrapped controller's decisions are untouched.
             self.cc = CheckedController(self.cc, self.check, self.config.mss)
@@ -272,7 +268,12 @@ class BaseConnection:
         self._next_pkt_seq = itertools.count(1)
         self._largest_sent = 0
         self._largest_acked = 0
-        self._inflight: dict[int, _Inflight] = {}
+        #: Data packets awaiting acknowledgement, keyed by packet number.
+        #: Seqs are assigned monotonically and inserted once, so dict
+        #: insertion order *is* seq order: the oldest packet is the first
+        #: key, and the packet-threshold loss scan stops at the first
+        #: packet that is not yet lost (see :meth:`_detect_losses`).
+        self._inflight: dict[int, Packet] = {}
         self._bytes_in_flight = 0
         self._recovery_until_seq = 0
         self._pto_timer = Timer(loop, self._on_pto)
@@ -291,9 +292,9 @@ class BaseConnection:
         # per attempt.
         self._fast_path_enabled = (
             self.config.fast_path
-            and not self.tracer
-            and not self.check
-            and not self.sampler
+            and not self._tracing
+            and not self._checking
+            and not self._sampling
         )
         #: The in-progress analytic walk (``fastpath._Epoch``), parked
         #: here between its yield points; None when the packet path (or
@@ -328,7 +329,7 @@ class BaseConnection:
         self._on_established = on_established
         self._on_failed = on_failed
         self._hs_total = self._handshake_flights()
-        if self.tracer:
+        if self._tracing:
             self.tracer.event(
                 self.loop.now, "transport:handshake_started",
                 flights=self._hs_total,
@@ -351,7 +352,7 @@ class BaseConnection:
     def _on_handshake_timeout(self) -> None:
         self._hs_retries += 1
         self.stats.handshake_retries += 1
-        if self.tracer:
+        if self._tracing:
             self.tracer.event(
                 self.loop.now, "recovery:handshake_timeout",
                 flight=self._hs_flight, retries=self._hs_retries,
@@ -380,7 +381,7 @@ class BaseConnection:
         assert self._connect_started_at is not None
         elapsed = self.loop.now - self._connect_started_at
         self._hs_flight_times.append(elapsed)
-        if self.tracer:
+        if self._tracing:
             self.tracer.event(
                 self.loop.now, "transport:handshake_flight",
                 flight=self._hs_flight, elapsed_ms=elapsed,
@@ -407,7 +408,7 @@ class BaseConnection:
             zero_rtt=self.zero_rtt,
             retries=self._hs_retries,
         )
-        if self.tracer:
+        if self._tracing:
             self.tracer.event(
                 self.loop.now, "transport:handshake_completed",
                 connect_ms=self.handshake.connect_ms,
@@ -455,7 +456,7 @@ class BaseConnection:
             on_complete,
             opened_at=self.loop.now,
         )
-        if self.tracer:
+        if self._tracing:
             self.tracer.event(
                 self.loop.now, "http:stream_opened",
                 stream_id=stream_id,
@@ -483,7 +484,7 @@ class BaseConnection:
         seq = next(self._req_seq)
         pkt = Packet(PacketKind.DATA, seq=seq, chunks=(chunk,), sent_at=self.loop.now)
         pkt.retransmission = tries > 0
-        if self.tracer:
+        if self._tracing:
             self.tracer.packet_sent(
                 self.loop.now, seq, pkt.size_bytes, "c2s", tries > 0
             )
@@ -562,18 +563,23 @@ class BaseConnection:
         if self._fast_path_enabled and fastpath.advance(self):
             return
         sent_any = False
-        while self._retx_queue:
-            chunk, conn_start = self._retx_queue.popleft()
+        retx_queue = self._retx_queue
+        while retx_queue:
+            chunk, conn_start = retx_queue.popleft()
             self._send_data_packet(chunk, conn_start, retransmission=True)
             sent_any = True
         mss = self.config.mss
-        while self._send_queue:
-            if self._bytes_in_flight + mss > self.cc.cwnd_bytes:
+        # Sending never moves the window (only ACK, loss and PTO
+        # handling do), so it is read once per burst.
+        cwnd = self.cc.cwnd_bytes
+        send_queue = self._send_queue
+        while send_queue:
+            if self._bytes_in_flight + mss > cwnd:
                 break
-            stream_id = self._send_queue[0]
+            stream_id = send_queue[0]
             sstream = self._server_streams[stream_id]
             if sstream.send_remaining <= 0:
-                self._send_queue.popleft()
+                send_queue.popleft()
                 continue
             # Weighted round-robin: a stream emits up to ``weight``
             # chunks per turn (H2 stream weights / H3 priorities),
@@ -583,7 +589,7 @@ class BaseConnection:
                 remaining = sstream.send_remaining
                 if remaining <= 0:
                     break
-                if self._bytes_in_flight + mss > self.cc.cwnd_bytes:
+                if self._bytes_in_flight + mss > cwnd:
                     break
                 size = min(mss, remaining)
                 fin = sstream.next_offset + size >= sstream.response_bytes
@@ -593,123 +599,145 @@ class BaseConnection:
                 sstream.next_offset += size
                 self._send_data_packet(chunk, conn_start, retransmission=False)
                 sent_any = True
-            self._send_queue.rotate(-1)
+            send_queue.rotate(-1)
             if fin:
                 # Drop the stream from the queue wherever it now is.
                 try:
-                    self._send_queue.remove(stream_id)
+                    send_queue.remove(stream_id)
                 except ValueError:  # pragma: no cover - defensive
                     pass
-        if sent_any and self._inflight and not self._pto_timer.armed:
+        if sent_any:
             self._arm_pto()
 
     def _send_data_packet(
         self, chunk: StreamChunk, conn_start: int, retransmission: bool
     ) -> None:
+        """Send one data packet; the caller re-arms the PTO afterwards."""
         seq = next(self._next_pkt_seq)
+        now = self.loop.now
         pkt = Packet(
             PacketKind.DATA,
             seq=seq,
             chunks=(chunk,),
-            sent_at=self.loop.now,
+            sent_at=now,
             retransmission=retransmission,
             conn_start=conn_start,
         )
         self._largest_sent = seq
         if self._first_data_sent_at is None:
-            self._first_data_sent_at = self.loop.now
-        self._inflight[seq] = _Inflight(
-            seq, chunk, conn_start, pkt.size_bytes, self.loop.now, retransmission
-        )
+            self._first_data_sent_at = now
+        # The packet itself is the in-flight record: it already carries
+        # seq, chunk, conn_start, size, sent_at and the retransmit flag.
+        self._inflight[seq] = pkt
         self._bytes_in_flight += pkt.size_bytes
-        self.stats.data_packets_sent += 1
+        stats = self.stats
+        stats.data_packets_sent += 1
         if retransmission:
-            self.stats.retransmissions += 1
-        if self.tracer:
-            self.tracer.packet_sent(
-                self.loop.now, seq, pkt.size_bytes, "s2c", retransmission
-            )
+            stats.retransmissions += 1
+        if self._tracing:
+            self.tracer.packet_sent(now, seq, pkt.size_bytes, "s2c", retransmission)
         self.path.send_to_client(pkt, self._client_on_packet_from_server)
-        self._arm_pto()
 
     def _server_on_ack(self, pkt: Packet) -> None:
         # One ACK packet may cover several data packets (``sack`` lists
         # every newly-received packet number; ``ack_seq`` is the largest).
         acked = pkt.sack or (pkt.ack_seq,)
-        largest_info: _Inflight | None = None
-        newly_acked = False
+        now = self.loop.now
+        inflight = self._inflight
+        cc_on_ack = self.cc.on_ack
+        largest: Packet | None = None
+        self.stats.acks_received += len(acked)
         for seq in acked:
-            self.stats.acks_received += 1
-            info = self._inflight.pop(seq, None)
-            if info is None:
+            sent = inflight.pop(seq, None)
+            if sent is None:
                 continue  # duplicate or already declared lost
-            if self.tracer:
-                self.tracer.packet_acked(self.loop.now, seq)
-            newly_acked = True
-            self._bytes_in_flight -= info.size_bytes
-            self.cc.on_ack(info.size_bytes, self.loop.now)
-            self._delivered_bytes += info.size_bytes
-            if largest_info is None or seq > largest_info.seq:
-                largest_info = info
-        if not newly_acked:
+            if self._tracing:
+                self.tracer.packet_acked(now, seq)
+            size = sent.size_bytes
+            self._bytes_in_flight -= size
+            cc_on_ack(size, now)
+            self._delivered_bytes += size
+            if largest is None or seq > largest.seq:
+                largest = sent
+        if largest is None:
             return
         # RTT from the largest newly-acked, never-retransmitted packet,
         # net of the receiver's deliberate ack delay (RFC 9002 §5.3).
-        if largest_info is not None and not largest_info.retransmission:
-            sample = self.loop.now - largest_info.sent_at - pkt.ack_delay_ms
+        if not largest.retransmission:
+            sample = now - largest.sent_at - pkt.ack_delay_ms
             if sample >= 0:
                 self.rtt.on_sample(sample)
         rate_sampler = getattr(self.cc, "on_rate_sample", None)
         if rate_sampler is not None and self.rtt.srtt_ms:
             assert self._first_data_sent_at is not None
-            elapsed = self.loop.now - self._first_data_sent_at
+            elapsed = now - self._first_data_sent_at
             if elapsed > 0:
                 rate_sampler(self._delivered_bytes / elapsed, self.rtt.srtt_ms)
-        self._largest_acked = max(self._largest_acked, pkt.ack_seq)
+        if pkt.ack_seq > self._largest_acked:
+            self._largest_acked = pkt.ack_seq
         self._pto_backoff = 1
-        if self.tracer:
+        if self._tracing:
             self._trace_metrics()
-        if self.sampler:
+        if self._sampling:
             self.sampler.on_ack(self)
         self._detect_losses()
-        if self._inflight:
+        if inflight:
             self._arm_pto()
         else:
             self._pto_timer.stop()
         self._try_send()
 
     def _detect_losses(self) -> None:
-        """Packet-threshold loss detection (RFC 9002 §6.1.1)."""
-        threshold = self.config.packet_threshold
-        lost = [
-            seq
-            for seq in self._inflight
-            if seq <= self._largest_acked - threshold
-        ]
+        """Packet-threshold loss detection (RFC 9002 §6.1.1).
+
+        ``_inflight`` iterates in seq order (see its definition), so
+        the lost packets — every seq at or below the cutoff — are a
+        prefix of it: the scan stops at the first packet that is not
+        lost, costing O(lost) per ACK instead of O(in-flight).
+        """
+        cutoff = self._largest_acked - self.config.packet_threshold
+        inflight = self._inflight
+        lost = []
+        for seq in inflight:
+            if seq > cutoff:
+                break
+            lost.append(seq)
+        if self._checking:
+            self.check.require(
+                lost == sorted(seq for seq in inflight if seq <= cutoff),
+                "transport:loss_scan_prefix",
+                "early-exit loss scan disagrees with the full in-flight "
+                "scan (in-flight packets out of seq order)",
+                time_ms=self.loop.now,
+                cutoff=cutoff,
+                lost=lost,
+            )
         if not lost:
             return
         newly_entered_recovery = False
-        for seq in sorted(lost):
-            info = self._inflight.pop(seq)
-            self._bytes_in_flight -= info.size_bytes
+        for seq in lost:
+            sent = inflight.pop(seq)
+            self._bytes_in_flight -= sent.size_bytes
             self.stats.data_packets_lost += 1
-            if self.tracer:
+            if self._tracing:
                 self.tracer.packet_lost(self.loop.now, seq, "packet_threshold")
-            self._retx_queue.append((info.chunk, info.conn_start))
+            self._retx_queue.append((sent.chunks[0], sent.conn_start))
             if seq > self._recovery_until_seq:
                 newly_entered_recovery = True
         if newly_entered_recovery:
             # One congestion response per round trip worth of losses.
             self.cc.on_loss(self.loop.now)
             self._recovery_until_seq = self._largest_sent
-            if self.tracer:
+            if self._tracing:
                 self._trace_metrics(force=True)
-            if self.sampler:
+            if self._sampling:
                 self.sampler.on_loss(self)
 
     def _arm_pto(self) -> None:
         # RFC 9002 §6.2.1: the peer may legitimately sit on an ACK for
         # up to max_ack_delay, so the probe timeout budgets for it.
+        # The timer is lazy (see Timer): pushing the deadline later on
+        # every ACK only overwrites it; an earlier deadline reschedules.
         timeout = (self.rtt.rto_ms + self.config.max_ack_delay_ms) * self._pto_backoff
         self._pto_timer.start(timeout)
 
@@ -730,7 +758,7 @@ class BaseConnection:
         if not self._inflight:
             return
         self.stats.rto_events += 1
-        if self.tracer:
+        if self._tracing:
             self.tracer.event(
                 self.loop.now, "recovery:pto_fired", backoff=self._pto_backoff
             )
@@ -741,16 +769,16 @@ class BaseConnection:
         # loss probes.
         if self._pto_backoff > 2:
             self.cc.on_rto(self.loop.now)
-        oldest_seq = min(self._inflight)
-        info = self._inflight.pop(oldest_seq)
-        self._bytes_in_flight -= info.size_bytes
+        oldest_seq = next(iter(self._inflight))  # seq order: first is oldest
+        oldest = self._inflight.pop(oldest_seq)
+        self._bytes_in_flight -= oldest.size_bytes
         self.stats.data_packets_lost += 1
-        if self.tracer:
+        if self._tracing:
             self.tracer.packet_lost(self.loop.now, oldest_seq, "pto")
             self._trace_metrics(force=True)
-        if self.sampler:
+        if self._sampling:
             self.sampler.on_loss(self)
-        self._retx_queue.append((info.chunk, info.conn_start))
+        self._retx_queue.append((oldest.chunks[0], oldest.conn_start))
         if oldest_seq > self._recovery_until_seq:
             self._recovery_until_seq = self._largest_sent
         self._try_send()
@@ -772,7 +800,7 @@ class BaseConnection:
         # detection is waiting on this ACK), with a max_ack_delay timer
         # backstop so tail packets are never acked late.
         seq = pkt.seq
-        if self.tracer:
+        if self._tracing:
             self.tracer.packet_received(
                 self.loop.now, seq, pkt.size_bytes, pkt.retransmission
             )
@@ -815,7 +843,7 @@ class BaseConnection:
         stream = self.streams.get(chunk.stream_id)
         if stream is None:
             return
-        if self.check:
+        if self._checking:
             self.check.require(
                 chunk.size > 0,
                 "stream:chunk_positive",
@@ -841,7 +869,7 @@ class BaseConnection:
                 stream.on_first_byte(self.loop.now)
         stream.received += chunk.size
         if stream.received >= stream.response_bytes and stream.t_complete is None:
-            if self.check:
+            if self._checking:
                 self.check.require(
                     stream.received == stream.response_bytes,
                     "stream:byte_conservation",
@@ -852,7 +880,7 @@ class BaseConnection:
                     response_bytes=stream.response_bytes,
                 )
             stream.t_complete = self.loop.now
-            if self.tracer:
+            if self._tracing:
                 self.tracer.event(
                     self.loop.now, "http:stream_closed",
                     stream_id=stream.stream_id,

@@ -66,7 +66,7 @@ class QuicConnection(BaseConnection):
                 if not buffer:
                     # This one stream just became blocked on a gap.
                     self._stream_stall_started[stream_id] = self.loop.now
-                    if self.tracer:
+                    if self._tracing:
                         self.tracer.event(
                             self.loop.now, "transport:hol_stall_started",
                             stream_id=stream_id, blocked_from=expected,
@@ -88,7 +88,7 @@ class QuicConnection(BaseConnection):
                 duration = self.loop.now - started
                 self.stats.hol_stalls += 1
                 self.stats.hol_stall_ms += duration
-                if self.tracer:
+                if self._tracing:
                     self.tracer.event(
                         self.loop.now, "transport:hol_stall_ended",
                         stream_id=stream_id, duration_ms=duration,

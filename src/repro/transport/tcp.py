@@ -101,7 +101,7 @@ class TcpConnection(BaseConnection):
                 if not self._reorder_buffer:
                     # The connection just became HoL-blocked.
                     self._stall_started_at = self.loop.now
-                    if self.tracer:
+                    if self._tracing:
                         self.tracer.event(
                             self.loop.now, "transport:hol_stall_started",
                             blocked_from=self._rcv_next,
@@ -117,7 +117,7 @@ class TcpConnection(BaseConnection):
             self._stall_started_at = None
             self.stats.hol_stalls += 1
             self.stats.hol_stall_ms += duration
-            if self.tracer:
+            if self._tracing:
                 self.tracer.event(
                     self.loop.now, "transport:hol_stall_ended",
                     duration_ms=duration,

@@ -375,3 +375,53 @@ class TestSchedulerEdgeCases:
         loop.run()
         assert fired == ["near", "mid", "far"]
         assert loop.now == 5000.0
+
+
+@pytest.mark.parametrize("loop_cls", ALL_LOOPS)
+class TestLazyTimer:
+    """``Timer.start`` re-arms lazily but fires exactly as eagerly."""
+
+    def test_later_deadline_keeps_one_wakeup(self, loop_cls):
+        loop = loop_cls()
+        fired = []
+        timer = Timer(loop, lambda: fired.append(loop.now))
+        timer.start(5.0)
+        loop.call_at(3.0, timer.start, 10.0)
+        loop.run()
+        assert fired == [13.0]
+        # The re-arm, one early wake-up at 5.0 and the real firing; the
+        # wake-up ran no callback.
+        assert loop.processed_events == 3
+
+    def test_earlier_deadline_reschedules(self, loop_cls):
+        loop = loop_cls()
+        fired = []
+        timer = Timer(loop, lambda: fired.append(loop.now))
+        timer.start(10.0)
+        loop.call_at(2.0, timer.start, 3.0)
+        loop.run()
+        assert fired == [5.0]
+        assert loop.processed_events == 2
+
+    def test_fires_at_the_stored_absolute_deadline(self, loop_cls):
+        # 0.05 + 0.9 is 0.9500000000000001; a wake-up at 0.3 that slept
+        # for the *remaining* time would overshoot to 0.9500000000000002.
+        loop = loop_cls()
+        fired = []
+        timer = Timer(loop, lambda: fired.append(loop.now))
+        timer.start(0.3)
+        loop.call_at(0.05, timer.start, 0.9)
+        loop.run()
+        assert fired == [0.05 + 0.9]
+        assert not timer.armed
+
+    def test_stop_after_push_back_never_fires(self, loop_cls):
+        loop = loop_cls()
+        fired = []
+        timer = Timer(loop, lambda: fired.append(loop.now))
+        timer.start(5.0)
+        loop.call_at(3.0, timer.start, 10.0)
+        loop.call_at(8.0, timer.stop)
+        loop.run()
+        assert fired == []
+        assert not timer.armed
