@@ -11,12 +11,10 @@ page transitions.
 The single entry point for running measurements is
 :func:`~repro.measurement.executor.execute` with a plan
 (:class:`CampaignPlan`, :class:`MultiCampaignPlan` or
-:class:`ConsecutivePlan`); ``Campaign.run``/``run_campaigns``/
-``ConsecutiveVisitRunner.run*`` survive as deprecated facades.
+:class:`ConsecutivePlan`).
 """
 
 from repro.measurement.campaign import (
-    Campaign,
     CampaignConfig,
     CampaignResult,
     PairedVisit,
@@ -34,11 +32,9 @@ from repro.measurement.executor import (
 from repro.measurement.farm import ProbeNetProfile, ServerFarm
 from repro.measurement.outcome import VisitFailure, VisitOutcome
 from repro.measurement.parallel import (
-    ParallelCampaign,
     derive_seed,
     measure_paired_visit,
     measure_visit_outcome,
-    run_campaigns,
 )
 from repro.measurement.probe import Probe
 from repro.measurement.report import (
@@ -59,7 +55,6 @@ from repro.measurement.vantage import (
 )
 
 __all__ = [
-    "Campaign",
     "CampaignConfig",
     "CampaignPlan",
     "CampaignReport",
@@ -74,7 +69,6 @@ __all__ = [
     "MultiCampaignPlan",
     "PageSource",
     "PairedVisit",
-    "ParallelCampaign",
     "Probe",
     "ProbeNetProfile",
     "ServerFarm",
@@ -90,6 +84,5 @@ __all__ = [
     "global_vantage_points",
     "measure_paired_visit",
     "measure_visit_outcome",
-    "run_campaigns",
     "summary_report",
 ]

@@ -1,9 +1,10 @@
-"""The measurement campaign: the paper's Section III-B protocol, end to end.
+"""Campaign configuration and results: the paper's Section III-B protocol.
 
-A :class:`Campaign` visits every target page from every probe, once per
+A campaign visits every target page from every probe, once per
 protocol mode (H2 baseline and H3-enabled), using the double-visit
 trick to warm edge caches, and collects one :class:`PairedVisit` per
-(probe, page).  The result object is what all Table II / Fig. 2–7
+(probe, page).  :func:`repro.measurement.executor.execute` runs it;
+the :class:`CampaignResult` it returns is what all Table II / Fig. 2–7
 analyses consume.
 """
 
@@ -18,7 +19,6 @@ from repro.cdn.hierarchy import HierarchyConfig
 from repro.faults import FaultProfile
 from repro.measurement.outcome import VisitFailure
 from repro.measurement.summary import CampaignSummary
-from repro.measurement.vantage import VantagePoint, default_vantage_points
 from repro.netsim.proxy import ProxyConfig
 from repro.transport.config import TransportConfig
 from repro.web.page import Webpage
@@ -125,7 +125,7 @@ class CampaignConfig:
         on flat fields, store keys (which read the flat attributes) and
         manifests are unchanged — so existing configs keep working
         verbatim.  Use :attr:`sim` / :attr:`telemetry` to decompose and
-        :meth:`from_groups` / :meth:`from_flat` to construct.
+        :meth:`from_groups` to construct.
     """
 
     #: Visits per page per mode; the last one is recorded (paper: 2).
@@ -213,11 +213,6 @@ class CampaignConfig:
         telemetry = telemetry or TelemetryConfig()
         knobs = {name: getattr(sim, name) for name in SIM_FIELDS}
         knobs.update({name: getattr(telemetry, name) for name in TELEMETRY_FIELDS})
-        return cls(**knobs)
-
-    @classmethod
-    def from_flat(cls, **knobs) -> "CampaignConfig":
-        """Shim for callers holding a flat knob dict (manifests, CLIs)."""
         return cls(**knobs)
 
 
@@ -367,77 +362,3 @@ class CampaignResult:
                         "mode": mode,
                         **span,
                     }
-
-
-class Campaign:
-    """Runs the full measurement over a universe."""
-
-    def __init__(
-        self,
-        universe: WebUniverse,
-        config: CampaignConfig | None = None,
-        vantage_points: tuple[VantagePoint, ...] | None = None,
-    ) -> None:
-        self.universe = universe
-        self.config = config or CampaignConfig()
-        vps = vantage_points if vantage_points is not None else default_vantage_points()
-        if self.config.max_vantage_points is not None:
-            vps = vps[: self.config.max_vantage_points]
-        self.vantage_points = vps
-
-    def run(
-        self,
-        pages: tuple[Webpage, ...] | None = None,
-        *,
-        workers: int = 1,
-        chunk_size: int | None = None,
-        start_method: str | None = None,
-        store=None,
-        run_name: str | None = None,
-        resume: bool = False,
-    ) -> CampaignResult:
-        """Measure ``pages`` (default: the whole universe) everywhere.
-
-        Every ``(vantage, probe, page)`` paired visit runs in its own
-        isolated simulation with a seed derived from that triple, each
-        page under H2 then H3 (separate browser instances), with edge
-        caches optionally pre-warmed.  ``workers > 1`` shards the visits
-        across a process pool; results are identical for any worker
-        count (see :mod:`repro.measurement.parallel`).
-
-        With a :class:`~repro.store.ResultStore` attached, visits whose
-        content-addressed key is already stored are replayed instead of
-        re-simulated (bit-identically), fresh visits are journaled as
-        they complete, and the finished visit list is recorded under
-        ``run_name``.  ``resume=True`` continues an interrupted run of
-        the same name, executing only the missing visits.
-
-        .. deprecated::
-            This is now a facade over the streaming executor; prefer
-            ``execute(CampaignPlan(universe, sim=..., telemetry=...))``
-            from :mod:`repro.measurement.executor`.
-        """
-        import warnings
-
-        from repro.measurement.executor import CampaignPlan, execute
-
-        warnings.warn(
-            "Campaign.run() is deprecated; use "
-            "execute(CampaignPlan(...)) from repro.measurement.executor",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return execute(
-            CampaignPlan(
-                universe=self.universe,
-                sim=self.config,
-                pages=pages,
-                vantage_points=self.vantage_points,
-                workers=workers,
-                chunk_size=chunk_size,
-                start_method=start_method,
-                store=store,
-                run_name=run_name,
-                resume=resume,
-            )
-        )

@@ -11,7 +11,6 @@ Fig. 8 and the Table III case study.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 from repro.browser.browser import H2_ONLY, H3_ENABLED, PageVisit
@@ -167,25 +166,3 @@ class ConsecutiveVisitRunner:
             if self.run_name is not None:
                 self.store.journal_visit(self.run_name, walk_key, "fresh")
         return run
-
-    def run(
-        self, pages: list[Webpage] | tuple[Webpage, ...], mode: str
-    ) -> ConsecutiveRun:
-        """Deprecated: use ``execute(ConsecutivePlan(...))`` instead."""
-        warnings.warn(
-            "ConsecutiveVisitRunner.run() is deprecated; use "
-            "repro.measurement.executor.execute(ConsecutivePlan(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_mode(pages, mode)
-
-    def run_both(self, pages) -> tuple[ConsecutiveRun, ConsecutiveRun]:
-        """Deprecated: use ``execute(ConsecutivePlan(...))`` instead."""
-        warnings.warn(
-            "ConsecutiveVisitRunner.run_both() is deprecated; use "
-            "repro.measurement.executor.execute(ConsecutivePlan(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_mode(pages, H2_ONLY), self._run_mode(pages, H3_ENABLED)

@@ -9,10 +9,6 @@ measurements:
 * ``execute(ConsecutivePlan)`` — ordered consecutive-visit walks
   (Fig. 8 / Table III).
 
-The legacy surfaces (``Campaign.run``, ``run_campaigns``,
-``ParallelCampaign``, ``ConsecutiveVisitRunner.run``) all delegate
-here with a ``DeprecationWarning``.
-
 Streaming
 =========
 

@@ -202,11 +202,11 @@ class TestTimer:
 # Differential edge cases: every scheduler implementation must agree.
 # ---------------------------------------------------------------------
 
-from repro.events.loop import CalendarEventLoop, CEventLoop, HeapEventLoop
+from repro.events import loop as loop_mod
+from repro.events.loop import CEventLoop, HeapEventLoop
 
 ALL_LOOPS = [
     pytest.param(HeapEventLoop, id="heap"),
-    pytest.param(CalendarEventLoop, id="calendar"),
     pytest.param(
         CEventLoop,
         id="c",
@@ -365,8 +365,8 @@ class TestSchedulerEdgeCases:
         assert len(loop) == 1
 
     def test_far_future_and_near_interleave(self, loop_cls):
-        # Deadlines past the calendar wheel's horizon (>1024 ms) must
-        # still interleave correctly with near-term events.
+        # Far-future deadlines must still interleave correctly with
+        # near-term events.
         loop = loop_cls()
         fired = []
         loop.call_later(5000.0, fired.append, "far")
@@ -425,3 +425,38 @@ class TestLazyTimer:
         loop.run()
         assert fired == []
         assert not timer.armed
+
+
+class TestSelectEventLoop:
+    """``REPRO_EVENT_LOOP`` picks a kernel or fails loudly."""
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            pytest.param("", CEventLoop or HeapEventLoop, id="unset"),
+            pytest.param("heap", HeapEventLoop, id="heap"),
+            pytest.param(
+                "C",
+                CEventLoop,
+                id="c",
+                marks=pytest.mark.skipif(
+                    CEventLoop is None, reason="C kernel not built on this host"
+                ),
+            ),
+        ],
+    )
+    def test_valid_value_selects_kernel(self, monkeypatch, value, expected):
+        monkeypatch.setenv("REPRO_EVENT_LOOP", value)
+        assert loop_mod._select_event_loop() is expected
+
+    @pytest.mark.parametrize("value", ["hep", "calendar", "python"])
+    def test_unknown_value_raises(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_EVENT_LOOP", value)
+        with pytest.raises(ValueError, match=r"'c', 'heap' or unset"):
+            loop_mod._select_event_loop()
+
+    def test_c_without_kernel_raises(self, monkeypatch):
+        monkeypatch.setattr(loop_mod, "CEventLoop", None)
+        monkeypatch.setenv("REPRO_EVENT_LOOP", "c")
+        with pytest.raises(ValueError, match="REPRO_CKERNEL_DEBUG=1"):
+            loop_mod._select_event_loop()

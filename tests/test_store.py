@@ -20,8 +20,14 @@ import os
 
 import pytest
 
-from repro.measurement import Campaign, CampaignConfig, derive_seed
-from repro.measurement.consecutive import ConsecutiveRun, ConsecutiveVisitRunner
+from repro.measurement import (
+    CampaignConfig,
+    CampaignPlan,
+    ConsecutivePlan,
+    derive_seed,
+    execute,
+)
+from repro.measurement.consecutive import ConsecutiveRun
 from repro.measurement.report import campaign_report
 from repro.store import (
     ResultStore,
@@ -219,11 +225,15 @@ class TestReplayDeterminism:
         config = CampaignConfig(seed=3)
         pages = universe.pages[:3]
         with ResultStore(str(tmp_path / "st")) as store:
-            fresh = Campaign(universe, config).run(
-                pages, store=store, run_name="a"
+            fresh = execute(
+                CampaignPlan(
+                    universe, sim=config, pages=pages, store=store, run_name="a"
+                )
             )
-            warm = Campaign(universe, config).run(
-                pages, store=store, run_name="b"
+            warm = execute(
+                CampaignPlan(
+                    universe, sim=config, pages=pages, store=store, run_name="b"
+                )
             )
         assert fresh.store_stats.misses == len(pages)
         assert warm.store_stats.hits == len(pages)
@@ -234,11 +244,18 @@ class TestReplayDeterminism:
         universe = small_universe()
         config = CampaignConfig(seed=5)
         pages = universe.pages[:3]
-        baseline = Campaign(universe, config).run(pages, workers=1)
+        baseline = execute(CampaignPlan(universe, sim=config, pages=pages, workers=1))
         with ResultStore(str(tmp_path / "st")) as store:
             for workers in (1, 2, 4):
-                run = Campaign(universe, config).run(
-                    pages, store=store, run_name=f"w{workers}", workers=workers
+                run = execute(
+                    CampaignPlan(
+                        universe,
+                        sim=config,
+                        pages=pages,
+                        store=store,
+                        run_name=f"w{workers}",
+                        workers=workers,
+                    )
                 )
                 assert result_fingerprint(run) == result_fingerprint(baseline)
 
@@ -247,17 +264,29 @@ class TestReplayDeterminism:
         config = CampaignConfig(seed=7, strict=True)
         pages = universe.pages[:2]
         with ResultStore(str(tmp_path / "st")) as store:
-            fresh = Campaign(universe, config).run(pages, store=store, run_name="s")
-            warm = Campaign(universe, config).run(pages, store=store, run_name="s2")
+            fresh = execute(
+                CampaignPlan(
+                    universe, sim=config, pages=pages, store=store, run_name="s"
+                )
+            )
+            warm = execute(
+                CampaignPlan(
+                    universe, sim=config, pages=pages, store=store, run_name="s2"
+                )
+            )
         assert result_fingerprint(warm) == result_fingerprint(fresh)
 
     def test_store_off_is_bit_identical_to_store_on(self, tmp_path):
         universe = small_universe()
         config = CampaignConfig(seed=9)
         pages = universe.pages[:2]
-        plain = Campaign(universe, config).run(pages)
+        plain = execute(CampaignPlan(universe, sim=config, pages=pages))
         with ResultStore(str(tmp_path / "st")) as store:
-            stored = Campaign(universe, config).run(pages, store=store, run_name="r")
+            stored = execute(
+                CampaignPlan(
+                    universe, sim=config, pages=pages, store=store, run_name="r"
+                )
+            )
         assert plain.store_stats is None
         assert result_fingerprint(plain) == result_fingerprint(stored)
 
@@ -266,8 +295,16 @@ class TestReplayDeterminism:
         config = CampaignConfig(seed=3, collect_counters=True)
         pages = universe.pages[:2]
         with ResultStore(str(tmp_path / "st")) as store:
-            fresh = Campaign(universe, config).run(pages, store=store, run_name="a")
-            warm = Campaign(universe, config).run(pages, store=store, run_name="b")
+            fresh = execute(
+                CampaignPlan(
+                    universe, sim=config, pages=pages, store=store, run_name="a"
+                )
+            )
+            warm = execute(
+                CampaignPlan(
+                    universe, sim=config, pages=pages, store=store, run_name="b"
+                )
+            )
         assert warm.counter_totals().to_dict() == fresh.counter_totals().to_dict()
 
     def test_report_identical_modulo_store_line(self, tmp_path):
@@ -275,8 +312,16 @@ class TestReplayDeterminism:
         config = CampaignConfig(seed=3)
         pages = universe.pages[:3]
         with ResultStore(str(tmp_path / "st")) as store:
-            fresh = Campaign(universe, config).run(pages, store=store, run_name="a")
-            warm = Campaign(universe, config).run(pages, store=store, run_name="b")
+            fresh = execute(
+                CampaignPlan(
+                    universe, sim=config, pages=pages, store=store, run_name="a"
+                )
+            )
+            warm = execute(
+                CampaignPlan(
+                    universe, sim=config, pages=pages, store=store, run_name="b"
+                )
+            )
         fresh_report = campaign_report(fresh)
         warm_report = campaign_report(warm)
         assert (
@@ -291,8 +336,16 @@ class TestReplayDeterminism:
         config = CampaignConfig(seed=3)
         pages = universe.pages[:2]
         with ResultStore(str(tmp_path / "st")) as store:
-            Campaign(universe, config).run(pages, store=store, run_name="a")
-            warm = Campaign(universe, config).run(pages, store=store, run_name="b")
+            execute(
+                CampaignPlan(
+                    universe, sim=config, pages=pages, store=store, run_name="a"
+                )
+            )
+            warm = execute(
+                CampaignPlan(
+                    universe, sim=config, pages=pages, store=store, run_name="b"
+                )
+            )
             assert warm.store_stats.hits == len(pages)
             payload = store.get(store.run_keys("a")[0])
         # stored payloads never carry provenance
@@ -320,22 +373,33 @@ class TestResume:
                 parallel_mod, "measure_visit_outcome", dies_after_two
             )
             with pytest.raises(KeyboardInterrupt):
-                Campaign(universe, config).run(pages, store=store, run_name="r")
+                execute(
+                    CampaignPlan(
+                        universe, sim=config, pages=pages, store=store, run_name="r"
+                    )
+                )
             monkeypatch.setattr(parallel_mod, "measure_visit_outcome", real)
 
             info = store.run_info("r")
             assert not info.complete
             assert info.journaled == 2  # both completed visits are durable
 
-            resumed = Campaign(universe, config).run(
-                pages, store=store, run_name="r", resume=True
+            resumed = execute(
+                CampaignPlan(
+                    universe,
+                    sim=config,
+                    pages=pages,
+                    store=store,
+                    run_name="r",
+                    resume=True,
+                )
             )
             assert resumed.store_stats.resumed == 2
             assert resumed.store_stats.misses == 2
             assert store.run_info("r").complete
             assert len(store.run_keys("r")) == len(pages)
 
-        baseline = Campaign(universe, config).run(pages)
+        baseline = execute(CampaignPlan(universe, sim=config, pages=pages))
         assert result_fingerprint(resumed) == result_fingerprint(baseline)
 
     def test_without_resume_prior_journal_is_not_counted(self, tmp_path):
@@ -343,8 +407,16 @@ class TestResume:
         config = CampaignConfig(seed=3)
         pages = universe.pages[:2]
         with ResultStore(str(tmp_path / "st")) as store:
-            Campaign(universe, config).run(pages, store=store, run_name="r")
-            rerun = Campaign(universe, config).run(pages, store=store, run_name="r")
+            execute(
+                CampaignPlan(
+                    universe, sim=config, pages=pages, store=store, run_name="r"
+                )
+            )
+            rerun = execute(
+                CampaignPlan(
+                    universe, sim=config, pages=pages, store=store, run_name="r"
+                )
+            )
             assert rerun.store_stats.hits == len(pages)
             assert rerun.store_stats.resumed == 0
 
@@ -355,7 +427,11 @@ class TestGc:
         config = CampaignConfig(seed=3)
         pages = universe.pages[:2]
         with ResultStore(str(tmp_path / "st")) as store:
-            kept = Campaign(universe, config).run(pages, store=store, run_name="keep")
+            kept = execute(
+                CampaignPlan(
+                    universe, sim=config, pages=pages, store=store, run_name="keep"
+                )
+            )
             # an anonymous run's entries are reachable from no run
             store.put("orphan", {"x": 1}, kind="paired", config_hash="c")
 
@@ -368,7 +444,11 @@ class TestGc:
             assert report.bytes_reclaimed > 0
             assert not store.contains("orphan")
             # the named run still replays bit-identically post-compaction
-            warm = Campaign(universe, config).run(pages, store=store, run_name="keep2")
+            warm = execute(
+                CampaignPlan(
+                    universe, sim=config, pages=pages, store=store, run_name="keep2"
+                )
+            )
             assert warm.store_stats.hits == len(pages)
             assert result_fingerprint(warm) == result_fingerprint(kept)
             assert store.verify() == []
@@ -391,14 +471,25 @@ class TestGc:
         with ResultStore(str(tmp_path / "st")) as store:
             monkeypatch.setattr(parallel_mod, "measure_visit_outcome", dies_after_one)
             with pytest.raises(KeyboardInterrupt):
-                Campaign(universe, config).run(pages, store=store, run_name="r")
+                execute(
+                    CampaignPlan(
+                        universe, sim=config, pages=pages, store=store, run_name="r"
+                    )
+                )
             monkeypatch.setattr(parallel_mod, "measure_visit_outcome", real)
             # gc between the crash and the resume must not discard the
             # journaled visit
             report = store.gc()
             assert report.entries_pruned == 0
-            resumed = Campaign(universe, config).run(
-                pages, store=store, run_name="r", resume=True
+            resumed = execute(
+                CampaignPlan(
+                    universe,
+                    sim=config,
+                    pages=pages,
+                    store=store,
+                    run_name="r",
+                    resume=True,
+                )
             )
             assert resumed.store_stats.resumed == 1
 
@@ -414,11 +505,12 @@ class TestConsecutiveReplay:
         universe = small_universe()
         pages = list(universe.pages[:3])
         with ResultStore(str(tmp_path / "st")) as store:
-            fresh_runner = ConsecutiveVisitRunner(universe, seed=2, store=store)
-            fresh_h2, fresh_h3 = fresh_runner.run_both(pages)
-            warm_h2, warm_h3 = ConsecutiveVisitRunner(
-                universe, seed=2, store=store
-            ).run_both(pages)
+            fresh_h2, fresh_h3 = execute(
+                ConsecutivePlan(universe, pages=pages, seed=2, store=store)
+            )
+            warm_h2, warm_h3 = execute(
+                ConsecutivePlan(universe, pages=pages, seed=2, store=store)
+            )
         assert fresh_h2.source == "fresh" and warm_h2.source == "replay"
         for fresh, warm in ((fresh_h2, warm_h2), (fresh_h3, warm_h3)):
             assert [visit_fingerprint(v) for v in warm.visits] == [
@@ -434,9 +526,16 @@ class TestConsecutiveReplay:
         universe = small_universe()
         pages = list(universe.pages[:2])
         with ResultStore(str(tmp_path / "st")) as store:
-            ConsecutiveVisitRunner(universe, seed=2, store=store).run(pages, "h2-only")
-            other = ConsecutiveVisitRunner(universe, seed=3, store=store)
-            other.run(pages, "h2-only")
+            execute(
+                ConsecutivePlan(
+                    universe, pages=pages, modes=("h2-only",), seed=2, store=store
+                )
+            )
+            execute(
+                ConsecutivePlan(
+                    universe, pages=pages, modes=("h2-only",), seed=3, store=store
+                )
+            )
             assert store.stats_summary()["entries"] == 2
 
 

@@ -19,6 +19,7 @@ import os
 
 import pytest
 
+from repro.browser.browser import H2_ONLY, H3_ENABLED
 from repro.measurement import parallel as parallel_mod
 from repro.measurement.campaign import (
     CampaignConfig,
@@ -314,34 +315,36 @@ class TestConfigGroups:
         ))
         assert result.summary.total_visits == 6
 
-    def test_deprecated_entry_points_still_work(self):
+    def test_flat_and_grouped_configs_run_identically(self):
         universe = small_universe()
-        from repro.measurement.campaign import Campaign
-
-        with pytest.deprecated_call():
-            result = Campaign(universe, small_config()).run(
-                universe.pages[:2]
+        config = small_config()
+        pages = universe.pages[:2]
+        flat = execute(CampaignPlan(universe, sim=config, pages=pages))
+        grouped = execute(
+            CampaignPlan(
+                universe, sim=config.sim, telemetry=config.telemetry, pages=pages
             )
-        assert len(result.paired_visits) == 4  # 2 pages × 2 vantages
+        )
+        assert len(flat.paired_visits) == 4  # 2 pages × 2 vantages
+        assert grouped.config == flat.config
+        assert [pv.plt_reduction_ms for pv in grouped.paired_visits] == [
+            pv.plt_reduction_ms for pv in flat.paired_visits
+        ]
 
-    def test_consecutive_plan_matches_deprecated_run_both(self):
+    def test_consecutive_plan_single_modes_match_both(self):
         universe = small_universe()
         pages = universe.pages[:3]
         h2_run, h3_run = execute(ConsecutivePlan(
             universe=universe, pages=pages, seed=2,
         ))
-        from repro.measurement.consecutive import ConsecutiveVisitRunner
-
-        with pytest.deprecated_call():
-            old_h2, old_h3 = ConsecutiveVisitRunner(
-                universe, seed=2
-            ).run_both(pages)
-        assert [v.plt_ms for v in h2_run.visits] == [
-            v.plt_ms for v in old_h2.visits
-        ]
-        assert [v.plt_ms for v in h3_run.visits] == [
-            v.plt_ms for v in old_h3.visits
-        ]
+        for mode, both in ((H2_ONLY, h2_run), (H3_ENABLED, h3_run)):
+            single = execute(
+                ConsecutivePlan(universe, pages=pages, modes=(mode,), seed=2)
+            )
+            assert single.mode == both.mode == mode
+            assert [v.plt_ms for v in single.visits] == [
+                v.plt_ms for v in both.visits
+            ]
 
 
 class TestFixedGridHistogram:
