@@ -16,8 +16,8 @@ perfbench-test:
 	$(PYTHON) -m pytest perfbench/tests -q
 
 # Quick perf sanity: a small campaign (parallel cross-check when ≥2
-# CPUs are available), substrate events/sec for every built kernel,
-# tracing overhead and the analytic fast path — then hard gates:
+# CPUs are available), substrate events/sec for every built kernel
+# and tracing overhead — then hard gates:
 # the default kernel must clear 300k chained events/s and tracer-on
 # CPU overhead must stay under 35%.  The overhead gate takes the
 # SMALLER of the artifact's two estimators (cross-round min/min and
@@ -32,7 +32,7 @@ perfbench-test:
 bench-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_campaign.py \
 		--pages 8 --sites 8 --workers 2 --repeats 5 \
-		--sections parallel,tracing,fastpath,store,substrate \
+		--sections parallel,tracing,store,substrate \
 		--out BENCH_campaign_smoke.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "\
 	import json; b = json.load(open('BENCH_campaign_smoke.json')); \
@@ -41,13 +41,8 @@ bench-smoke:
 	tr = min(b['tracing']['overhead_cpu_pct'], \
 	         b['tracing']['overhead_cpu_pct_paired']); \
 	assert tr < 35.0, f'tracer-on CPU overhead {tr:.1f}%% breaches the 35%% ceiling'; \
-	fp = b['fast_path']; \
-	assert fp['cpu_speedup'] and fp['cpu_speedup'] > 1.0, fp; \
-	assert fp['plt_worst_rel_delta_pct'] < 0.1, fp; \
 	print(f\"bench-smoke: kernel {kern:,.0f} ev/s, \" \
-	      f\"tracing {tr:+.1f}%% cpu (gated estimate), fast path \" \
-	      f\"x{fp['cpu_speedup']:.2f} \" \
-	      f\"({fp['plt_identical']}/{fp['visits']} PLTs identical)\")"
+	      f\"tracing {tr:+.1f}%% cpu (gated estimate)\")"
 
 # Observability smoke: run a traced smoke campaign, then validate the
 # exported JSONL trace against the schema and check the manifest exists.

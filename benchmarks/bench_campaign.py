@@ -20,8 +20,6 @@ It measures, on one ≥32-page universe:
   (``CampaignConfig.metrics_interval_ms``) on vs off with the paired
   median-ratio estimator, an off-vs-off canary that bounds what the
   host can resolve, and a result-fingerprint identity check,
-* the analytic transport fast path (``TransportConfig.fast_path``) on
-  vs off, with a PLT-identity audit of the paired visits,
 * DES substrate events/sec for **every** scheduler implementation
   (binary heap, C kernel when built) on two shapes: a chained-callback
   hot loop and a schedule/cancel timer churn — so the C core's
@@ -51,7 +49,7 @@ from repro.events import EventLoop
 from repro.events.loop import CEventLoop, HeapEventLoop
 from repro.measurement import CampaignConfig, CampaignPlan, execute
 from repro.netsim import NetemProfile, NetworkPath
-from repro.transport import QuicConnection, TransportConfig
+from repro.transport import QuicConnection
 from repro.web.topsites import GeneratorConfig, cached_universe
 
 
@@ -192,7 +190,6 @@ def append_history(payload: dict, out_path: str) -> dict:
         "tracing_overhead_cpu_pct": tracing.get("overhead_cpu_pct"),
         "tracing_overhead_cpu_pct_paired":
             tracing.get("overhead_cpu_pct_paired"),
-        "fast_path_speedup": (payload.get("fast_path") or {}).get("cpu_speedup"),
         "metrics_overhead_cpu_pct_paired":
             metrics.get("overhead_cpu_pct_paired"),
         "metrics_disabled_canary_pct": metrics.get("disabled_canary_pct"),
@@ -287,44 +284,6 @@ def bench_transfer_events_per_sec(response_bytes: int = 500_000) -> dict:
     return {
         "events": loop.processed_events,
         "events_per_sec": loop.processed_events / elapsed,
-    }
-
-
-def bench_fast_path(universe, pages, slow_result, slow_cpu_s, repeats=1) -> dict:
-    """The analytic fast path vs the packet path, plus a fidelity audit.
-
-    ``slow_result``/``slow_cpu_s`` are the default serial campaign
-    (fast path off) measured by the caller.  The audit counts paired
-    visits whose PLT is bit-identical across the two paths and reports
-    the worst relative divergence — the documented residual is
-    same-instant tie-breaking, so this should sit at ~0%.
-    """
-    run_fast = campaign_runner(
-        universe,
-        CampaignConfig(seed=3, transport_config=TransportConfig(fast_path=True)),
-    )
-    fast, fast_wall_s, fast_cpu_s = timed_best(
-        repeats, run_fast, pages, workers=1
-    )
-    visits = identical = 0
-    worst = 0.0
-    for slow_pv, fast_pv in zip(slow_result.paired_visits, fast.paired_visits):
-        for slow_v, fast_v in ((slow_pv.h2, fast_pv.h2), (slow_pv.h3, fast_pv.h3)):
-            visits += 1
-            if slow_v.plt_ms == fast_v.plt_ms:
-                identical += 1
-            if slow_v.plt_ms:
-                worst = max(
-                    worst, abs(slow_v.plt_ms - fast_v.plt_ms) / slow_v.plt_ms
-                )
-    return {
-        "off_cpu_seconds": slow_cpu_s,
-        "on_cpu_seconds": fast_cpu_s,
-        "on_seconds": fast_wall_s,
-        "cpu_speedup": slow_cpu_s / fast_cpu_s if fast_cpu_s > 0 else None,
-        "visits": visits,
-        "plt_identical": identical,
-        "plt_worst_rel_delta_pct": worst * 100.0,
     }
 
 
@@ -478,13 +437,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--sections", default="all",
         help="comma-separated sections to run (default all): "
-        "parallel,tracing,fastpath,store,substrate,metrics,memory — "
+        "parallel,tracing,store,substrate,metrics,memory — "
         "the serial baseline always runs",
     )
     args = parser.parse_args(argv)
 
-    all_sections = {"parallel", "tracing", "fastpath", "store",
-                    "substrate", "metrics", "memory"}
+    all_sections = {"parallel", "tracing", "store", "substrate", "metrics",
+                    "memory"}
     if args.sections == "all":
         sections = all_sections
     else:
@@ -553,7 +512,6 @@ def main(argv: list[str] | None = None) -> int:
     # host frequency scaling drifts on a timescale of seconds, so
     # back-to-back runs see the same clock and sequential series don't.
     tracing = None
-    off_cpu_s = serial_cpu_s
     if "tracing" in sections:
         run_counters = campaign_runner(
             universe, CampaignConfig(seed=3, collect_counters=True)
@@ -624,20 +582,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{metrics_sampler['samples']} samples"
         )
 
-    fast_path = None
-    if "fastpath" in sections:
-        fast_path = bench_fast_path(
-            universe, pages, serial, off_cpu_s, repeats=args.repeats
-        )
-        print(
-            f"fast path (cpu): off {fast_path['off_cpu_seconds']:.2f}s, "
-            f"on {fast_path['on_cpu_seconds']:.2f}s "
-            f"(speedup {fast_path['cpu_speedup']:.2f}x, "
-            f"{fast_path['plt_identical']}/{fast_path['visits']} PLTs "
-            f"identical, "
-            f"worst delta {fast_path['plt_worst_rel_delta_pct']:.3f}%)"
-        )
-
     memory_bench = None
     if "memory" in sections:
         memory_bench = bench_streaming_memory()
@@ -703,7 +647,6 @@ def main(argv: list[str] | None = None) -> int:
     for key, section in (
         ("tracing", tracing),
         ("metrics_sampler", metrics_sampler),
-        ("fast_path", fast_path),
         ("store", store_bench),
         ("substrate", substrate),
         ("streaming_memory", memory_bench),

@@ -640,15 +640,6 @@ core_profile_raw(LoopCoreObject *self, PyObject *Py_UNUSED(ignored))
 }
 
 static PyObject *
-core_next_event_time(LoopCoreObject *self, PyObject *Py_UNUSED(ignored))
-{
-    CEventObject *head = peek_live(self);
-    if (head == NULL)
-        Py_RETURN_NONE;
-    return PyFloat_FromDouble(head->time);
-}
-
-static PyObject *
 core_get_now(LoopCoreObject *self, void *closure)
 {
     return PyFloat_FromDouble(self->now);
@@ -700,8 +691,6 @@ static PyMethodDef core_methods[] = {
      "Run until predicate() becomes true or the queue drains."},
     {"step", (PyCFunction)core_step, METH_NOARGS,
      "Execute the next pending event; False when the queue is empty."},
-    {"next_event_time", (PyCFunction)core_next_event_time, METH_NOARGS,
-     "Time of the earliest pending live event, or None when empty."},
     {"set_check", (PyCFunction)core_set_check, METH_O,
      "Install (or clear) a repro.check.CheckContext."},
     {"enable_profiling", (PyCFunction)core_enable_profiling, METH_NOARGS,

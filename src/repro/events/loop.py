@@ -317,16 +317,6 @@ class HeapEventLoop:
         event._loop = None
         self._live -= 1
 
-    def next_event_time(self) -> float | None:
-        """Time of the earliest pending live event, or ``None`` if empty.
-
-        The transport fast path uses this to decide how far it may walk
-        analytically before yielding back to the scheduler: it never
-        advances its virtual clock past a pending real event.
-        """
-        event = self._peek()
-        return None if event is None else event.time
-
     def step(self) -> bool:
         """Execute the next pending event.
 

@@ -236,11 +236,6 @@ class FaultedPath:
 
     __slots__ = ("_path", "_injector", "_host", "_quic")
 
-    #: A faulted view may start dropping packets at any scripted moment,
-    #: so the analytic transport fast path must never reserve deliveries
-    #: through it — even when the underlying links are loss-free.
-    fast_path_eligible = False
-
     def __init__(
         self,
         path: "NetworkPath",

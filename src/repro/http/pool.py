@@ -577,11 +577,7 @@ class ConnectionPool:
             counters.observe("transport.handshake_ms", result.connect_ms)
             if result.zero_rtt:
                 counters.incr("transport.handshakes.zero_rtt")
-        if (
-            self.use_session_tickets
-            and getattr(opener.server, "issues_tickets", True)
-            and self.transport_config.issue_session_tickets
-        ):
+        if self.use_session_tickets and getattr(opener.server, "issues_tickets", True):
             self.session_cache.store(pooled.host, self.loop.now)
         self._issue(pooled, opener, reused=False, handshake=result)
         while pooled.pending and not pooled.busy:

@@ -10,7 +10,6 @@ callback or silently drops the packet (recording it in the stats).
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -102,77 +101,6 @@ class Link:
         # Earliest permissible delivery time, to keep FIFO ordering under
         # jitter (a jittered packet may not overtake its predecessor).
         self._last_delivery_at = 0.0
-        # Reserved-but-not-yet-due deliveries (analytic fast path):
-        # ``(deliver_at, size_bytes)`` in nondecreasing ``deliver_at``
-        # order (guaranteed by the ``_last_delivery_at`` monotonicity),
-        # settled into the delivered stats once the clock reaches them.
-        self._pending_reserved: deque[tuple[float, int]] = deque()
-
-    @property
-    def fast_path_eligible(self) -> bool:
-        """Whether delivery on this link is a pure function of size+time.
-
-        True when nothing stochastic or injected can touch a packet: no
-        loss model, no jitter, no drop filter.  Only then may the
-        analytic transport fast path reserve transmissions without
-        simulating them (:meth:`reserve_transmit`).
-        """
-        return (
-            isinstance(self.loss, NoLoss)
-            and self.jitter_ms == 0.0
-            and self.drop_filter is None
-        )
-
-    def reserve_transmit(self, size_bytes: int, now: float) -> float:
-        """Account one guaranteed delivery analytically; returns its time.
-
-        Performs exactly the queueing/serialization/propagation
-        arithmetic of :meth:`transmit` — including advancing the shared
-        transmitter and FIFO-ordering state, so reserved and normally
-        transmitted packets queue behind each other consistently — but
-        schedules no event.  Only valid while :attr:`fast_path_eligible`
-        holds (the packet cannot be dropped and has no jitter draw, so
-        skipping the loss/jitter code changes nothing, not even RNG
-        state).
-
-        The delivery is *accounted* when the clock reaches its computed
-        time, not at reservation: delivered stats are settled lazily via
-        :meth:`settle_reserved`, so mid-visit readers (link samplers,
-        ethics accounting, progress heartbeats) never see in-flight
-        bytes as already delivered.
-        """
-        if self._pending_reserved:
-            self.settle_reserved(now)
-        self.stats.sent_packets += 1
-        self.stats.sent_bytes += size_bytes
-        start = now if now > self._tx_free_at else self._tx_free_at
-        if self.rate_mbps is None:
-            tx_done = start
-        else:
-            tx_done = start + (size_bytes * 8) / (self.rate_mbps * 1000.0)
-            self.stats.busy_time_ms += tx_done - start
-        self._tx_free_at = tx_done
-        deliver_at = tx_done + self.delay_ms
-        if deliver_at < self._last_delivery_at:
-            deliver_at = self._last_delivery_at
-        self._last_delivery_at = deliver_at
-        self._pending_reserved.append((deliver_at, size_bytes))
-        return deliver_at
-
-    def settle_reserved(self, now: float) -> None:
-        """Fold reserved deliveries due by ``now`` into the stats.
-
-        Reservations are queued in nondecreasing delivery order, so a
-        single front-of-queue sweep settles everything due.  The
-        analytic walk settles both links when it finishes (at its final
-        virtual time), which keeps end-of-visit totals identical to the
-        packet path's.
-        """
-        pending = self._pending_reserved
-        while pending and pending[0][0] <= now:
-            _, size_bytes = pending.popleft()
-            self.stats.delivered_packets += 1
-            self.stats.delivered_bytes += size_bytes
 
     def transmit(self, packet: Packet, on_deliver: Callable[[Packet], None]) -> bool:
         """Send ``packet``; returns ``False`` if it was dropped.
@@ -183,17 +111,14 @@ class Link:
         lost *after* being serialized, as on a real path).
         """
         now = self.loop.now
-        if self._pending_reserved:
-            self.settle_reserved(now)
         size = packet.size_bytes
         stats = self.stats
         stats.sent_packets += 1
         stats.sent_bytes += size
 
         # Serialization time.  The expression must stay
-        # ``(size * 8) / (rate * 1000.0)``, as in reserve_transmit(): a
-        # precomputed reciprocal rounds differently and shifts every
-        # downstream timestamp.
+        # ``(size * 8) / (rate * 1000.0)``: a precomputed reciprocal
+        # rounds differently and shifts every downstream timestamp.
         tx_free_at = self._tx_free_at
         start = now if now > tx_free_at else tx_free_at
         rate = self.rate_mbps

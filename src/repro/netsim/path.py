@@ -65,13 +65,6 @@ class NetworkPath:
         """Base round-trip time of the path."""
         return self.profile.rtt_ms
 
-    @property
-    def fast_path_eligible(self) -> bool:
-        """Whether both directions are loss-free, jitter-free and
-        unfiltered — the precondition for the analytic transport fast
-        path (:mod:`repro.transport.fastpath`)."""
-        return self.uplink.fast_path_eligible and self.downlink.fast_path_eligible
-
     def send_to_server(
         self, packet: Packet, on_deliver: Callable[[Packet], None]
     ) -> bool:
@@ -86,9 +79,6 @@ class NetworkPath:
 
     def total_bytes_transferred(self) -> int:
         """Bytes delivered in both directions (ethics accounting)."""
-        now = self.loop.now
-        self.uplink.settle_reserved(now)
-        self.downlink.settle_reserved(now)
         return self.uplink.stats.delivered_bytes + self.downlink.stats.delivered_bytes
 
     def __repr__(self) -> str:

@@ -25,10 +25,6 @@ the proxy and the proxy↔edge leg usually have very different loss and
 latency.  Packets are forwarded store-and-forward at each hop (plus an
 optional per-hop processing delay), so queueing builds up per segment
 exactly as it would on a chain of real links.
-
-Segmented paths are **never** fast-path eligible: the analytic
-transport walk reasons about a single link pair, and a multi-hop chain
-breaks its arithmetic even when every segment is loss-free.
 """
 
 from __future__ import annotations
@@ -120,9 +116,6 @@ class SegmentedPath:
     ethics byte accounting, probe NIC throughput — observe the client's
     network interface, which is what they mean to measure.
     """
-
-    #: Multi-hop chains are opaque to the analytic transport walk.
-    fast_path_eligible = False
 
     def __init__(
         self,
@@ -232,9 +225,6 @@ class SegmentedPath:
         interior segments is the proxy operator's bill, not the
         probe's.
         """
-        now = self.loop.now
-        self.uplink.settle_reserved(now)
-        self.downlink.settle_reserved(now)
         return self.uplink.stats.delivered_bytes + self.downlink.stats.delivered_bytes
 
     def __repr__(self) -> str:

@@ -65,8 +65,8 @@ class ObsContext:
         self._spans_enabled = spans
         # Batched transport totals: absorb_connection sums plain ints
         # here and drain_visit flushes them as one increment per key,
-        # instead of nine registry calls per torn-down connection.
-        self._absorbed = [0, 0, 0, 0, 0, 0, 0, 0.0, 0]
+        # instead of eight registry calls per torn-down connection.
+        self._absorbed = [0, 0, 0, 0, 0, 0, 0, 0.0]
 
     # ------------------------------------------------------------------
 
@@ -154,7 +154,7 @@ class ObsContext:
         """Fold one finished connection's stats into the counters.
 
         Called by the pool at teardown (cold path), so per-packet
-        accounting stays on the existing ``ConnectionStats`` fast path
+        accounting stays on the existing ``ConnectionStats`` hot path
         and only aggregates here; the sums are flushed to the registry
         once per visit by :meth:`drain_visit`.
         """
@@ -168,7 +168,6 @@ class ObsContext:
         absorbed[5] += stats.hol_blocked_chunks
         absorbed[6] += stats.hol_stalls
         absorbed[7] += stats.hol_stall_ms
-        absorbed[8] += stats.fast_path_epochs
 
     #: Registry keys matching the ``_absorbed`` slots, in order.
     _ABSORBED_KEYS = (
@@ -180,7 +179,6 @@ class ObsContext:
         "transport.hol.blocked_chunks",
         "transport.hol.stalls",
         "transport.hol.stall_ms",
-        "transport.fastpath.epochs",
     )
 
     def _flush_absorbed(self) -> None:
@@ -189,7 +187,7 @@ class ObsContext:
         for key, value in zip(self._ABSORBED_KEYS, absorbed):
             if value:
                 incr(key, value)
-        self._absorbed = [0, 0, 0, 0, 0, 0, 0, 0.0, 0]
+        self._absorbed = [0, 0, 0, 0, 0, 0, 0, 0.0]
 
     # ------------------------------------------------------------------
 

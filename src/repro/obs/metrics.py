@@ -16,10 +16,7 @@ taken at the first transport/link callback at-or-after each Δt grid
 boundary (plus forced samples on loss and PTO, which are themselves
 sim events), so a sampler-on run executes the exact same event
 sequence as a sampler-off run and results stay bit-identical — the
-same invariant the tracer keeps.  The only behavioural interaction is
-that an attached connection sampler forces the analytic fast path off
-(it wants the real per-packet dynamics), mirroring tracer/strict
-semantics.
+same invariant the tracer keeps.
 
 When sampling is disabled the transports hold the falsy
 :data:`NULL_SAMPLER` singleton; a connection reads its truth value

@@ -19,8 +19,6 @@ import time
 
 #: Counter names the reporter understands (absent counters read as 0).
 _EVENTS_COUNTER = "loop.events_processed"
-_FASTPATH_COUNTER = "transport.fastpath.epochs"
-_REQUESTS_COUNTER = "pool.requests"
 
 
 def peak_rss_kb() -> int | None:
@@ -63,8 +61,6 @@ class ProgressReporter:
         self.replayed = 0
         self.failed = 0
         self.events = 0
-        self.fastpath_epochs = 0
-        self.requests = 0
         self.heartbeats = 0
         self._started = time.monotonic()
         self._last_beat = self._started
@@ -88,8 +84,6 @@ class ProgressReporter:
                 continue
             counters = payload.get("counters", {})
             self.events += _as_int(counters.get(_EVENTS_COUNTER))
-            self.fastpath_epochs += _as_int(counters.get(_FASTPATH_COUNTER))
-            self.requests += _as_int(counters.get(_REQUESTS_COUNTER))
         self._maybe_heartbeat()
 
     # -- reporting -----------------------------------------------------
@@ -118,10 +112,6 @@ class ProgressReporter:
         ]
         if self.events:
             parts.append(f"{self.events / elapsed / 1e3:.0f}k ev/s")
-        if self.requests:
-            parts.append(
-                f"fastpath {100.0 * self.fastpath_epochs / self.requests:.0f}%"
-            )
         if self.replayed:
             parts.append(f"{self.replayed} replayed")
         if self.failed:
@@ -149,10 +139,6 @@ class ProgressReporter:
             "workers": self.workers,
             "heartbeats": self.heartbeats,
         }
-        if self.requests:
-            summary["fastpath_hit_rate"] = round(
-                self.fastpath_epochs / self.requests, 4
-            )
         rss = peak_rss_kb()
         if rss is not None:
             summary["peak_rss_kb"] = rss

@@ -85,9 +85,17 @@ def _finite(value):
 # ----------------------------------------------------------------------
 
 
+#: Fields deleted from :class:`~repro.transport.config.TransportConfig`,
+#: pinned at their old defaults: dropping them from the key material
+#: would re-address every stored visit (and move the default run hash).
+_RETIRED_TRANSPORT_KEYS = {"fast_path": False, "issue_session_tickets": True}
+
+
 def transport_part(config) -> dict:
     """A :class:`~repro.transport.config.TransportConfig` as key material."""
-    return {k: _finite(v) for k, v in dataclasses.asdict(config).items()}
+    part = {k: _finite(v) for k, v in dataclasses.asdict(config).items()}
+    part.update(_RETIRED_TRANSPORT_KEYS)
+    return part
 
 
 def fault_profile_part(profile) -> dict | None:

@@ -34,7 +34,6 @@ from repro.netsim.packet import Packet, PacketKind, StreamChunk
 from repro.netsim.path import NetworkPath
 from repro.obs.metrics import NULL_SAMPLER
 from repro.obs.trace import NULL_TRACER
-from repro.transport import fastpath
 from repro.transport.config import TransportConfig
 from repro.transport.congestion import CongestionController, make_congestion_controller
 from repro.transport.rtt import RttEstimator
@@ -74,8 +73,7 @@ class ConnectionStats:
     #: Completed HoL-stall intervals (reorder buffer non-empty → empty).
     hol_stalls: int = 0
     hol_stall_ms: float = 0.0
-    #: Analytic fast-path epochs run (response transfers advanced
-    #: arithmetically instead of per-packet; 0 on the packet path).
+    #: Always 0: kept only because the benchmark's tracer reads it.
     fast_path_epochs: int = 0
 
 
@@ -285,21 +283,6 @@ class BaseConnection:
         # Last cwnd the tracer logged (metrics events are emitted only
         # on ≥1-MSS changes so traces stay bounded).
         self._traced_cwnd = self.cc.cwnd_bytes
-        # Analytic fast path (repro.transport.fastpath): opt-in via
-        # config, and forced off under tracing, strict checking or
-        # metrics sampling — all want the real per-packet path.  Path
-        # eligibility (loss-free, jitter-free, unfiltered) is re-checked
-        # per attempt.
-        self._fast_path_enabled = (
-            self.config.fast_path
-            and not self._tracing
-            and not self._checking
-            and not self._sampling
-        )
-        #: The in-progress analytic walk (``fastpath._Epoch``), parked
-        #: here between its yield points; None when the packet path (or
-        #: nothing) is driving the send side.
-        self._fp_epoch = None
 
     # ------------------------------------------------------------------
     # Handshake
@@ -560,8 +543,6 @@ class BaseConnection:
         check (loss-recovery packets must not be starved by the very
         congestion event that caused them).
         """
-        if self._fast_path_enabled and fastpath.advance(self):
-            return
         sent_any = False
         retx_queue = self._retx_queue
         while retx_queue:
@@ -890,50 +871,6 @@ class BaseConnection:
             if stream.on_complete is not None:
                 stream.on_complete(self.loop.now)
 
-    # ------------------------------------------------------------------
-    # Analytic fast path (repro.transport.fastpath) support
-    # ------------------------------------------------------------------
-
-    def _fast_path_sync(self, stream_ends: dict[int, int], payload_bytes: int) -> None:
-        """Advance receiver reassembly state past an analytic epoch.
-
-        ``stream_ends`` maps each stream id touched by the epoch to its
-        final delivered stream offset; ``payload_bytes`` is the epoch's
-        total in-order payload.  Subclasses own the reassembly state, so
-        each must override this for the fast path to be usable.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support the analytic fast path"
-        )
-
-    def _fast_path_step(self) -> None:
-        """Continuation target: resume the parked analytic walk."""
-        epoch = self._fp_epoch
-        if epoch is not None and not self.closed:
-            epoch.run()
-
-    def _fast_path_first_byte(self, stream_id: int) -> None:
-        """Scheduled at a stream's computed first-byte delivery time."""
-        stream = self.streams.get(stream_id)
-        if stream is None or stream.t_first_byte is not None:
-            return
-        stream.t_first_byte = self.loop.now
-        if stream.on_first_byte is not None:
-            stream.on_first_byte(self.loop.now)
-
-    def _fast_path_stream_done(self, stream_id: int, delivered_bytes: int) -> None:
-        """Scheduled at a stream's computed last-chunk delivery time."""
-        stream = self.streams.get(stream_id)
-        if stream is None:
-            return
-        stream.received += delivered_bytes
-        if stream.received >= stream.response_bytes and stream.t_complete is None:
-            stream.t_complete = self.loop.now
-            if stream.on_complete is not None:
-                stream.on_complete(self.loop.now)
-
-    # ------------------------------------------------------------------
-
     def _trace_metrics(self, force: bool = False) -> None:
         """Emit a qlog ``recovery:metrics_updated`` event.
 
@@ -954,7 +891,6 @@ class BaseConnection:
     def close(self) -> None:
         """Tear down timers; the connection cannot be used afterwards."""
         self.closed = True
-        fastpath.cancel(self)
         self._pto_timer.stop()
         self._hs_timer.stop()
         self._ack_timer.stop()

@@ -37,9 +37,6 @@ class TransportConfig:
     #: one — the asymmetry behind the paper's Fig. 8.  Enable for the
     #: ablation bench.
     tls13_early_data: bool = False
-    #: If False, the server never issues session tickets (ablation knob
-    #: for the Fig. 8 resumption analysis).
-    issue_session_tickets: bool = True
     #: Maximum connection handshakes a browser profile runs at once
     #: (socket-pool and TLS-CPU throttling, as in Chrome).  Additional
     #: connection setups queue; 0-RTT resumed QUIC connections need no
@@ -53,14 +50,6 @@ class TransportConfig:
     #: Longest a receiver may sit on an unacknowledged data packet
     #: before flushing an ACK anyway (RFC 9000 max_ack_delay).
     max_ack_delay_ms: float = 5.0
-    #: Opt-in analytic fast path: advance loss-free response transfers
-    #: arithmetically instead of per-packet through the event loop (see
-    #: :mod:`repro.transport.fastpath` for the fidelity contract).  The
-    #: flag enters the result store's content address automatically (via
-    #: ``transport_part``), so fast-path results never alias full-path
-    #: results.  Forced off per connection under tracing or strict
-    #: checking, which keeps ``--strict`` runs bit-identical.
-    fast_path: bool = False
 
     def __post_init__(self) -> None:
         if self.mss <= 0:

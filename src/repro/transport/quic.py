@@ -94,13 +94,6 @@ class QuicConnection(BaseConnection):
                         stream_id=stream_id, duration_ms=duration,
                     )
 
-    def _fast_path_sync(self, stream_ends: dict[int, int], payload_bytes: int) -> None:
-        # A loss-free epoch delivers every stream's chunks in offset
-        # order; each touched stream's expected-offset cursor jumps to
-        # its epoch-final position.
-        for stream_id, end in stream_ends.items():
-            self._stream_rcv_next[stream_id] = end
-
     @property
     def buffered_chunks(self) -> int:
         """Out-of-order chunks currently held (diagnostics)."""

@@ -128,13 +128,6 @@ class TcpConnection(BaseConnection):
         for chunk in pkt.chunks:
             self._deliver_chunk(chunk)
 
-    def _fast_path_sync(self, stream_ends: dict[int, int], payload_bytes: int) -> None:
-        # A loss-free epoch delivers strictly in connection-byte order,
-        # so the whole payload advances the in-order cursor at once (the
-        # epoch never runs while the reorder buffer holds a gap: it
-        # requires every in-flight packet to be acked first).
-        self._rcv_next += payload_bytes
-
     @property
     def reorder_buffer_bytes(self) -> int:
         """Bytes currently stuck behind a gap (diagnostics)."""

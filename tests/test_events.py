@@ -344,26 +344,6 @@ class TestSchedulerEdgeCases:
         loop.run()
         assert fired == ["in", "out"]
 
-    def test_next_event_time_tracks_head(self, loop_cls):
-        loop = loop_cls()
-        assert loop.next_event_time() is None
-        loop.call_later(5.0, lambda: None)
-        head = loop.call_later(2.0, lambda: None)
-        assert loop.next_event_time() == 2.0
-        head.cancel()
-        assert loop.next_event_time() == 5.0
-        loop.run()
-        assert loop.next_event_time() is None
-
-    def test_next_event_time_does_not_fire_or_advance(self, loop_cls):
-        loop = loop_cls()
-        fired = []
-        loop.call_later(3.0, fired.append, "x")
-        assert loop.next_event_time() == 3.0
-        assert fired == []
-        assert loop.now == 0.0
-        assert len(loop) == 1
-
     def test_far_future_and_near_interleave(self, loop_cls):
         # Far-future deadlines must still interleave correctly with
         # near-term events.

@@ -214,31 +214,6 @@ class TestLink:
         assert faulted_state == plain_state
         assert faulted[1:] == plain[1:]
 
-    def test_reserved_delivery_counts_at_delivery_time(self):
-        """Regression: reservations settle when the clock reaches them,
-        not at reservation time — mid-visit readers must never see
-        in-flight bytes as delivered."""
-        loop = EventLoop()
-        link = Link(loop, delay_ms=5.0, rate_mbps=8.0)
-        deliver_at = link.reserve_transmit(1000, 0.0)
-        assert deliver_at == pytest.approx(6.0)  # 1 ms serialize + 5 ms
-        assert link.stats.sent_bytes == 1000
-        assert link.stats.delivered_bytes == 0
-        assert link.stats.delivered_packets == 0
-        link.settle_reserved(deliver_at - 0.001)
-        assert link.stats.delivered_bytes == 0
-        link.settle_reserved(deliver_at)
-        assert link.stats.delivered_bytes == 1000
-        assert link.stats.delivered_packets == 1
-
-    def test_transmit_settles_due_reservations(self):
-        loop = EventLoop()
-        link = Link(loop, delay_ms=1.0, rate_mbps=None)
-        link.reserve_transmit(500, 0.0)  # due at t=1.0
-        loop.call_at(2.0, lambda: link.transmit(data_packet(), lambda p: None))
-        loop.run()
-        assert link.stats.delivered_bytes == 500 + data_packet().size_bytes
-
 
 class TestNetemProfile:
     def test_rtt_is_twice_delay(self):

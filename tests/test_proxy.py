@@ -3,8 +3,8 @@
 The contracts under test:
 
 * **SegmentedPath** — a multi-hop chain forwards packets segment by
-  segment, charges every segment's latency, accounts delivered bytes at
-  the client NIC, and is never eligible for the analytic fast path.
+  segment, charges every segment's latency, and accounts delivered
+  bytes at the client NIC.
 * **Proxy models** — a CONNECT tunnel terminates TCP (H3 downgrades at
   the proxy, zero H3 served), a MASQUE relay passes QUIC end-to-end.
 * **Migration faults** — a mid-visit address change makes QUIC
@@ -76,10 +76,6 @@ class TestSegmentedPath:
         path = make_segmented(loop, forward_delay_ms=3.0)
         # 2*(5+20) segment latency + 2*3 relay forwarding.
         assert path.rtt_ms == pytest.approx(56.0)
-
-    def test_never_fast_path_eligible(self):
-        loop = EventLoop()
-        assert make_segmented(loop).fast_path_eligible is False
 
     def test_round_trip_charges_every_segment(self):
         class Packet:
@@ -330,8 +326,8 @@ class TestProxiedDeterminism:
         assert second.store_stats.misses == len(pages)
 
 
-class TestFastPathExclusion:
-    def test_farm_proxy_paths_are_ineligible(self, universe):
+class TestFarmProxyPaths:
+    def test_farm_builds_segmented_proxy_paths(self, universe):
         from repro.measurement.farm import ServerFarm
 
         loop = EventLoop()
@@ -341,17 +337,6 @@ class TestFastPathExclusion:
         host = next(iter(universe.hosts))
         path = farm.path(host)
         assert isinstance(path, SegmentedPath)
-        assert path.fast_path_eligible is False
-
-    def test_migration_armed_paths_are_ineligible(self):
-        from repro.faults.inject import FaultedPath
-        from repro.netsim import NetworkPath
-
-        loop = EventLoop()
-        injector = FaultInjector(migration_profile("nat_rebind"), loop)
-        path = NetworkPath(loop, NetemProfile(delay_ms=5.0))
-        faulted = FaultedPath(path, injector, "cdn.example", quic=True)
-        assert faulted.fast_path_eligible is False
 
 
 class TestPoolStatsRoundtrip:
