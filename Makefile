@@ -317,6 +317,14 @@ stream-smoke:
 	      f\"({m['pages_large']} pages), growth {ratio:.3f}x < 1.15x\")"
 
 # No third-party linters in the container; bytecode compilation catches
-# syntax errors and obvious breakage across the whole tree.
+# syntax errors and obvious breakage across the whole tree.  Nothing
+# else runs examples/ or benchmarks/bench_ablations.py in CI, so every
+# module there is also imported: a deleted name still imported by one
+# of them fails here.
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples
+	PYTHONPATH=$(PYTHONPATH):examples:benchmarks $(PYTHON) -c "\
+	import importlib, pathlib; \
+	mods = [p.stem for d in ('examples', 'benchmarks') for p in sorted(pathlib.Path(d).glob('*.py'))]; \
+	[importlib.import_module(m) for m in mods]; \
+	print(f'lint: {len(mods)} example/benchmark modules import cleanly')"

@@ -8,9 +8,8 @@ that grew under loss.  Off by default: without a context every hook
 costs one falsy check against :data:`NULL_CHECK` (the same pattern as
 ``NULL_TRACER``) and results are bit-identical.
 
-Enable it with ``Scenario(strict=True)``, ``CampaignConfig(strict=True)``
-or the CLI's ``--strict`` flag.  See ``docs/checking.md`` for the
-invariant catalog.
+Enable it with ``CampaignConfig(strict=True)`` or the CLI's ``--strict``
+flag.  See ``docs/checking.md`` for the invariant catalog.
 """
 
 from repro.check.context import (

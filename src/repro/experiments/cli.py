@@ -20,13 +20,14 @@ import os
 import sys
 import time
 
-from repro.cdn.hierarchy import HIERARCHY_PRESETS
+from repro.cdn.compression import CompressionConfig
+from repro.cdn.hierarchy import HIERARCHY_PRESETS, hierarchy_preset
 from repro.core.study import H3CdnStudy, StudyConfig
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.faults import FAULT_PROFILES
-from repro.netsim.proxy import PROXY_MODELS
+from repro.measurement.campaign import CampaignConfig
+from repro.netsim.proxy import PROXY_MODELS, ProxyConfig
 from repro.obs import build_run_manifest, write_run_manifest
-from repro.scenario import Scenario
 
 #: Predefined scales: (sites, campaign pages, consecutive pages,
 #: loss-sweep pages, loss repetitions).
@@ -262,6 +263,29 @@ def render_plots(result) -> list[str]:
     return lines
 
 
+def campaign_config(args: argparse.Namespace, **overrides) -> CampaignConfig:
+    """The campaign config selected by the run-condition flags.
+
+    Maps ``--faults``, ``--proxy``, ``--cache-tiers``, ``--compression``
+    and ``--strict`` onto :class:`CampaignConfig` fields; ``overrides``
+    (seed, telemetry knobs) pass through verbatim.
+    """
+    return CampaignConfig(
+        fault_profile=FAULT_PROFILES[args.faults] if args.faults else None,
+        proxy=ProxyConfig(model=args.proxy) if args.proxy else None,
+        cache_hierarchy=(
+            hierarchy_preset(args.cache_tiers) if args.cache_tiers else None
+        ),
+        compression=(
+            CompressionConfig(identity_request_ratio=args.compression)
+            if args.compression is not None
+            else None
+        ),
+        strict=args.strict,
+        **overrides,
+    )
+
+
 def make_study(args: argparse.Namespace, store=None) -> H3CdnStudy:
     sites, campaign_pages, consecutive_pages, loss_pages, loss_reps = SCALES[args.scale]
     if args.sites is not None:
@@ -269,23 +293,12 @@ def make_study(args: argparse.Namespace, store=None) -> H3CdnStudy:
     trace = bool(getattr(args, "trace_dir", None))
     collect = trace or bool(getattr(args, "counters", False) or
                             getattr(args, "json", None))
-    faults_name = getattr(args, "faults", None)
-    scenario = Scenario(name="paper-default")
-    if faults_name:
-        scenario = scenario.with_faults(faults_name)
-    if getattr(args, "proxy", None):
-        scenario = scenario.with_proxy(args.proxy)
-    if getattr(args, "cache_tiers", None):
-        scenario = scenario.with_cache_tiers(args.cache_tiers)
-    if getattr(args, "compression", None) is not None:
-        scenario = scenario.with_compression(args.compression)
-    if getattr(args, "strict", False):
-        scenario = scenario.with_strict()
     return H3CdnStudy(
         StudyConfig(
             n_sites=sites,
             seed=args.seed,
-            campaign_config=scenario.campaign_config(
+            campaign_config=campaign_config(
+                args,
                 collect_counters=collect,
                 trace=trace,
                 metrics_interval_ms=getattr(args, "metrics_interval", None),
@@ -309,7 +322,6 @@ def run_streaming(args: argparse.Namespace) -> int:
     """``--stream-pages N``: a summary-only campaign over a lazy universe."""
     from repro.measurement.executor import CampaignPlan, execute
     from repro.measurement.report import campaign_report
-    from repro.scenario import Scenario
     from repro.web.topsites import GeneratorConfig, lazy_universe
 
     n_pages = args.stream_pages
@@ -322,20 +334,8 @@ def run_streaming(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    scenario = Scenario(name="paper-default")
-    if getattr(args, "faults", None):
-        scenario = scenario.with_faults(args.faults)
-    if getattr(args, "proxy", None):
-        scenario = scenario.with_proxy(args.proxy)
-    if getattr(args, "cache_tiers", None):
-        scenario = scenario.with_cache_tiers(args.cache_tiers)
-    if getattr(args, "compression", None) is not None:
-        scenario = scenario.with_compression(args.compression)
-    if getattr(args, "strict", False):
-        scenario = scenario.with_strict()
-    config = scenario.campaign_config(
-        seed=args.seed,
-        progress=bool(getattr(args, "progress", False)),
+    config = campaign_config(
+        args, seed=args.seed, progress=bool(getattr(args, "progress", False))
     )
     universe = lazy_universe(GeneratorConfig(n_sites=sites), seed=args.seed)
     store = None

@@ -19,7 +19,6 @@ from repro.measurement.campaign import (
     CampaignResult,
     PairedVisit,
     SimConfig,
-    TelemetryConfig,
 )
 from repro.measurement.consecutive import ConsecutiveRun, ConsecutiveVisitRunner
 from repro.measurement.executor import (
@@ -73,7 +72,6 @@ __all__ = [
     "ProbeNetProfile",
     "ServerFarm",
     "SimConfig",
-    "TelemetryConfig",
     "VantagePoint",
     "VisitFailure",
     "VisitOutcome",

@@ -10,7 +10,7 @@ analyses consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.browser.browser import H2_ONLY, H3_ENABLED, PageVisit
@@ -29,103 +29,16 @@ if TYPE_CHECKING:  # leaf-module import would still cycle via repro.store
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Everything that shapes *what a visit measures*.
-
-    These are exactly the store-keyed knobs plus the knobs that select
-    which visits run: changing any of them changes the simulation (or
-    the set of simulations), so two campaigns agree bit-for-bit iff
-    their ``SimConfig``s agree.  Pair with a :class:`TelemetryConfig`
-    via :meth:`bundle` (or ``CampaignConfig.from_groups``) to obtain a
-    full campaign configuration.
-    """
-
-    #: Visits per page per mode; the last one is recorded (paper: 2).
-    visits_per_page: int = 2
-    #: Probes per vantage point (paper: 3).
-    probes_per_vantage: int = 1
-    #: Limit to the first N vantage points (None = all three).
-    max_vantage_points: int | None = 1
-    #: netem loss imposed at every probe (the Fig. 9 knob).
-    loss_rate: float = 0.0
-    #: Probe access-link rate.
-    rate_mbps: float | None = 50.0
-    #: Pre-seed edge caches with popular objects before measuring.
-    warm_popular: bool = True
-    #: Base seed; probes derive their own streams from it.
-    seed: int = 0
-    #: Transport-level configuration shared by all probes.
-    transport_config: TransportConfig = field(default_factory=TransportConfig)
-    #: Disable TLS session tickets everywhere (ablation).
-    use_session_tickets: bool = True
-    #: Scripted fault profile applied at every probe.
-    fault_profile: FaultProfile | None = None
-    #: Proxy hop on every probe↔host path (``None`` = direct paths).
-    proxy: ProxyConfig | None = None
-    #: Multi-tier cache chain on every edge (``None`` = flat LRU,
-    #: bit-identical to pre-hierarchy builds).
-    cache_hierarchy: "HierarchyConfig | None" = None
-    #: Compression/format negotiation (``None`` = encoding-oblivious
-    #: serving, bit-identical to pre-compression builds).
-    compression: "CompressionConfig | None" = None
-
-    def bundle(self, telemetry: "TelemetryConfig | None" = None) -> "CampaignConfig":
-        """Combine with a telemetry group into a full campaign config."""
-        return CampaignConfig.from_groups(self, telemetry)
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Everything observe-only: instrumentation that never changes results.
-
-    Each knob here carries the same guarantee as :mod:`repro.obs` —
-    toggling it leaves every simulated timing, HAR and counter-relevant
-    outcome bit-identical.  (Note ``collect_counters``/``trace``/
-    ``strict`` *do* participate in store content keys for historical
-    reasons — the stored documents carry the collected telemetry — so
-    flipping them changes cache hits, never results.)
-    """
-
-    #: Collect a per-visit counter registry (handshakes, 0-RTT, HoL).
-    collect_counters: bool = False
-    #: Attach a qlog-style event tracer to every connection.
-    trace: bool = False
-    #: Run every visit under the :mod:`repro.check` invariant checker.
-    strict: bool = False
-    #: Sim-time metrics sampling interval (ms); ``None`` disables.
-    metrics_interval_ms: float | None = None
-    #: Ring-buffer capacity per metrics sampler.
-    metrics_max_samples: int = 512
-    #: Record hierarchical spans (visit → phase → transfer) per visit.
-    spans: bool = False
-    #: Enable event-loop callback profiling on every probe.
-    profile_loop: bool = False
-    #: Emit live progress heartbeats to stderr while the campaign runs.
-    progress: bool = False
-
-
-#: Flat CampaignConfig fields that belong to each group (the facade's
-#: decomposition map; store keys keep reading the flat names).
-SIM_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(SimConfig))
-TELEMETRY_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(TelemetryConfig))
-
-
-@dataclass(frozen=True)
 class CampaignConfig:
-    """Campaign-level knobs — a facade over :class:`SimConfig` + :class:`TelemetryConfig`.
+    """Campaign-level knobs: the one configuration of a campaign.
 
-    .. deprecated::
-        New code should compose the two frozen groups and pass them to
-        ``execute(CampaignPlan(...))``::
-
-            plan = CampaignPlan(universe, sim=SimConfig(loss_rate=0.01),
-                                telemetry=TelemetryConfig(collect_counters=True))
-
-        The flat dataclass stays fully functional — ``dataclasses.replace``
-        on flat fields, store keys (which read the flat attributes) and
-        manifests are unchanged — so existing configs keep working
-        verbatim.  Use :attr:`sim` / :attr:`telemetry` to decompose and
-        :meth:`from_groups` to construct.
+    Every field changes results unless its comment marks it
+    observe-only.  Which fields enter store content keys is decided in
+    one place, :data:`repro.store.keys._VISIT_CONFIG_FIELDS` (plus the
+    nested transport/fault/proxy/hierarchy/compression parts);
+    ``collect_counters``, ``trace`` and ``strict`` only observe but are
+    key material because stored documents carry what they collect.
+    Derive variants with :func:`dataclasses.replace`.
     """
 
     #: Visits per page per mode; the last one is recorded (paper: 2).
@@ -135,7 +48,7 @@ class CampaignConfig:
     probes_per_vantage: int = 1
     #: Limit to the first N vantage points (None = all three).
     max_vantage_points: int | None = 1
-    #: netem loss imposed at every probe (the Fig. 9 knob).
+    #: netem loss imposed at every probe (the Fig. 9 knob), in [0, 1).
     loss_rate: float = 0.0
     #: Probe access-link rate.
     rate_mbps: float | None = 50.0
@@ -148,10 +61,11 @@ class CampaignConfig:
     #: Disable TLS session tickets everywhere (ablation).
     use_session_tickets: bool = True
     #: Collect a per-visit counter registry (handshakes, 0-RTT, HoL,
-    #: packets).  Purely observational: results are bit-identical on/off.
+    #: packets).  Observe-only: results are bit-identical on/off.
     collect_counters: bool = False
     #: Attach a qlog-style event tracer to every connection and carry
     #: the per-visit traces in the results (implies heavier visits).
+    #: Observe-only.
     trace: bool = False
     #: Scripted fault profile applied at every probe (``None`` keeps
     #: the fault machinery dormant; results are then bit-identical to
@@ -165,18 +79,18 @@ class CampaignConfig:
     #: :mod:`repro.obs.metrics` samplers; ``None`` disables sampling.
     #: Observe-only and excluded from store content keys.
     metrics_interval_ms: float | None = None
-    #: Ring-buffer capacity per metrics sampler.
+    #: Ring-buffer capacity per metrics sampler.  Observe-only.
     metrics_max_samples: int = 512
     #: Record hierarchical spans (visit → phase → transfer) per visit.
     #: Observe-only and excluded from store content keys.
     spans: bool = False
     #: Enable event-loop callback profiling on every probe and carry
-    #: the per-visit profiles in the outcomes (wall-clock diagnostics;
-    #: stripped before store writes).
+    #: the per-visit profiles in the outcomes.  Observe-only
+    #: (wall-clock diagnostics; stripped before store writes).
     profile_loop: bool = False
     #: Emit live progress heartbeats to stderr while the campaign runs
-    #: and record a progress summary on the result.  Wall-clock only;
-    #: never affects results or store keys.
+    #: and record a progress summary on the result.  Observe-only
+    #: (wall-clock); never part of store keys.
     progress: bool = False
     #: Proxy hop on every probe↔host path (``None`` = direct paths).
     #: Result-affecting: part of the store content key.
@@ -188,32 +102,15 @@ class CampaignConfig:
     #: Result-affecting: part of the store content key (schema v3).
     compression: "CompressionConfig | None" = None
 
-    # -- group facade --------------------------------------------------
+    def __post_init__(self) -> None:
+        # The probe's NetemProfile enforces the same range, but only once
+        # a visit runs; reject an unusable rate when the config is built.
+        if not 0.0 <= self.loss_rate < 1.0:
+            raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
 
-    @property
-    def sim(self) -> SimConfig:
-        """The simulation-shaping knobs as a :class:`SimConfig` group."""
-        return SimConfig(**{name: getattr(self, name) for name in SIM_FIELDS})
 
-    @property
-    def telemetry(self) -> TelemetryConfig:
-        """The observe-only knobs as a :class:`TelemetryConfig` group."""
-        return TelemetryConfig(
-            **{name: getattr(self, name) for name in TELEMETRY_FIELDS}
-        )
-
-    @classmethod
-    def from_groups(
-        cls,
-        sim: SimConfig | None = None,
-        telemetry: TelemetryConfig | None = None,
-    ) -> "CampaignConfig":
-        """Compose the two frozen groups into a flat config."""
-        sim = sim or SimConfig()
-        telemetry = telemetry or TelemetryConfig()
-        knobs = {name: getattr(sim, name) for name in SIM_FIELDS}
-        knobs.update({name: getattr(telemetry, name) for name in TELEMETRY_FIELDS})
-        return cls(**knobs)
+#: Alias the benchmark harness (``perfbench/``) imports; drop it there first.
+SimConfig = CampaignConfig
 
 
 @dataclass

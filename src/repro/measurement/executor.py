@@ -57,8 +57,6 @@ from repro.measurement.campaign import (
     CampaignConfig,
     CampaignResult,
     PairedVisit,
-    SimConfig,
-    TelemetryConfig,
 )
 from repro.measurement.consecutive import ConsecutiveRun, ConsecutiveVisitRunner
 from repro.measurement.outcome import VisitFailure, VisitOutcome
@@ -77,30 +75,17 @@ MAX_AUTO_CHUNK = 64
 DEFAULT_STORE_BATCH = 16
 
 
-def _as_campaign_config(
-    sim: "SimConfig | CampaignConfig",
-    telemetry: TelemetryConfig | None,
-) -> CampaignConfig:
-    if isinstance(sim, CampaignConfig):
-        if telemetry is not None:
-            return CampaignConfig.from_groups(sim.sim, telemetry)
-        return sim
-    return CampaignConfig.from_groups(sim, telemetry)
-
-
 @dataclass(frozen=True)
 class CampaignPlan:
     """Everything needed to run one campaign, declaratively.
 
-    ``sim`` may be a composed :class:`SimConfig` (paired with
-    ``telemetry``) or a legacy flat :class:`CampaignConfig`.  Pages
-    default to the whole universe; ``page_count`` selects the first N
-    pages without materializing them (the lazy-universe path).
+    ``sim`` is the campaign's :class:`CampaignConfig`.  Pages default
+    to the whole universe; ``page_count`` selects the first N pages
+    without materializing them (the lazy-universe path).
     """
 
     universe: object
-    sim: "SimConfig | CampaignConfig" = field(default_factory=SimConfig)
-    telemetry: TelemetryConfig | None = None
+    sim: CampaignConfig = field(default_factory=CampaignConfig)
     pages: tuple[Webpage, ...] | None = None
     page_count: int | None = None
     vantage_points: tuple[VantagePoint, ...] | None = None
@@ -118,10 +103,6 @@ class CampaignPlan:
     max_in_flight: int | None = None
     #: Visits per store write-through commit.
     store_batch: int = DEFAULT_STORE_BATCH
-
-    @property
-    def config(self) -> CampaignConfig:
-        return _as_campaign_config(self.sim, self.telemetry)
 
 
 @dataclass(frozen=True)
@@ -171,7 +152,7 @@ def execute(plan):
 def _execute_campaign(plan: CampaignPlan) -> CampaignResult:
     results = _stream_campaigns(
         plan.universe,
-        {"campaign": plan.config},
+        {"campaign": plan.sim},
         pages=plan.pages,
         page_count=plan.page_count,
         vantage_points=plan.vantage_points,

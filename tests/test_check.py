@@ -15,11 +15,14 @@ Three layers of coverage:
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cdn.compression import CompressionConfig
+from repro.cdn.hierarchy import hierarchy_preset
 from repro.check import (
     NULL_CHECK,
     CheckContext,
@@ -33,6 +36,7 @@ from repro.faults import FAULT_PROFILES
 from repro.http import PoolStats
 from repro.measurement.campaign import CampaignConfig
 from repro.measurement.executor import CampaignPlan, ConsecutivePlan, execute
+from repro.netsim.proxy import ProxyConfig
 from repro.transport.congestion import NewRenoController
 from repro.web.topsites import GeneratorConfig, cached_universe
 
@@ -351,14 +355,12 @@ class TestStrictRegistry:
     def test_all_experiments_pass_under_strict(self):
         from repro.core import H3CdnStudy, StudyConfig
         from repro.experiments import EXPERIMENTS, run_experiment
-        from repro.scenario import Scenario
 
-        scenario = Scenario(name="paper-default").with_strict()
         study = H3CdnStudy(
             StudyConfig(
                 n_sites=12,
                 seed=3,
-                campaign_config=scenario.campaign_config(),
+                campaign_config=CampaignConfig(strict=True),
                 max_campaign_pages=6,
                 max_consecutive_pages=6,
                 max_loss_sweep_pages=3,
@@ -370,24 +372,49 @@ class TestStrictRegistry:
 
 
 class TestStrictWiring:
-    def test_scenario_with_strict(self):
-        from repro.scenario import Scenario
+    @pytest.mark.parametrize(
+        "flags, field, expected",
+        [
+            (["--faults", "udp-blocked"], "fault_profile",
+             FAULT_PROFILES["udp-blocked"]),
+            (["--proxy", "masque-relay"], "proxy",
+             ProxyConfig(model="masque-relay")),
+            (["--cache-tiers", "edge-regional"], "cache_hierarchy",
+             hierarchy_preset("edge-regional")),
+            (["--compression", "0.5"], "compression",
+             CompressionConfig(identity_request_ratio=0.5)),
+            (["--strict"], "strict", True),
+        ],
+        ids=["faults", "proxy", "cache-tiers", "compression", "strict"],
+    )
+    def test_cli_flag_sets_config_field(self, flags, field, expected, monkeypatch):
+        """Each run-condition flag lands on its CampaignConfig field, and
+        the study and ``--stream-pages`` paths build the same config."""
+        from repro.experiments import cli
+        from repro.measurement import executor
 
-        scenario = Scenario(name="s")
-        assert not scenario.strict
-        strict = scenario.with_strict()
-        assert strict.strict
-        assert strict.campaign_config().strict
-        assert not scenario.campaign_config().strict
-        assert not strict.with_strict(False).strict
+        parse = cli.build_parser().parse_args
+        built = cli.make_study(parse(["--scale", "smoke", *flags])).config.campaign_config
+        default = cli.make_study(parse(["--scale", "smoke"])).config.campaign_config
+        assert getattr(built, field) == expected
+        assert getattr(default, field) != expected
 
-    def test_cli_strict_flag_threads_into_study(self):
-        from repro.experiments.cli import build_parser, make_study
+        streamed = {}
 
-        args = build_parser().parse_args(["--scale", "smoke", "--strict"])
-        assert make_study(args).config.campaign_config.strict
-        args = build_parser().parse_args(["--scale", "smoke"])
-        assert not make_study(args).config.campaign_config.strict
+        class _Captured(Exception):
+            pass
+
+        def fake_execute(plan):
+            streamed["config"] = plan.sim
+            raise _Captured  # the built config is all this test needs
+
+        monkeypatch.setattr(executor, "execute", fake_execute)
+        args = parse(["--scale", "smoke", "--stream-pages", "2", *flags])
+        with pytest.raises(_Captured):
+            cli.run_streaming(args)
+        # The study's main campaign keeps the config's default seed;
+        # the streaming campaign takes --seed.  Nothing else differs.
+        assert streamed["config"] == replace(built, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from repro.faults import (
 )
 from repro.measurement import CampaignConfig, CampaignPlan, execute
 from repro.netsim import NetemProfile, PROXY_MODELS, ProxyConfig, SegmentedPath
-from repro.scenario import Scenario
 from repro.store import ResultStore, paired_visit_key, visit_config_part
 from repro.web.topsites import GeneratorConfig, cached_universe
 
@@ -116,22 +115,6 @@ class TestSegmentedPath:
         # The packet crossed both segments but the probe's NIC saw it
         # once — ethics accounting must not double-count relay hops.
         assert path.total_bytes_transferred() == 1200
-
-
-class TestScenarioProxy:
-    def test_with_proxy_by_model_name(self):
-        scenario = Scenario(name="base").with_proxy("masque-relay")
-        assert scenario.name == "base+masque-relay"
-        assert scenario.proxy is not None
-        config = scenario.campaign_config()
-        assert config.proxy.model == "masque-relay"
-
-    def test_with_proxy_none_goes_direct(self):
-        scenario = Scenario(name="base").with_proxy("connect-tunnel")
-        direct = scenario.with_proxy(None)
-        assert direct.proxy is None
-        assert direct.name.endswith("+direct")
-        assert direct.campaign_config().proxy is None
 
 
 class TestProxyInVisitKey:

@@ -20,12 +20,9 @@ import os
 import pytest
 
 from repro.browser.browser import H2_ONLY, H3_ENABLED
+from repro.measurement import SimConfig
 from repro.measurement import parallel as parallel_mod
-from repro.measurement.campaign import (
-    CampaignConfig,
-    SimConfig,
-    TelemetryConfig,
-)
+from repro.measurement.campaign import CampaignConfig
 from repro.measurement.executor import (
     CampaignPlan,
     ConsecutivePlan,
@@ -294,42 +291,20 @@ class TestResume:
 
 
 class TestConfigGroups:
-    def test_facade_decomposes_and_recomposes(self):
-        config = CampaignConfig(
-            visits_per_page=3, loss_rate=0.01, seed=9,
-            collect_counters=True, progress=True,
-        )
-        sim, telemetry = config.sim, config.telemetry
-        assert isinstance(sim, SimConfig)
-        assert isinstance(telemetry, TelemetryConfig)
-        assert sim.visits_per_page == 3 and sim.loss_rate == 0.01
-        assert telemetry.collect_counters and telemetry.progress
-        rebuilt = CampaignConfig.from_groups(sim, telemetry)
-        assert rebuilt == config
+    @pytest.mark.parametrize("loss_rate", [-0.5, 1.0, 1.5])
+    def test_loss_rate_validated(self, loss_rate):
+        with pytest.raises(ValueError, match="loss_rate"):
+            CampaignConfig(loss_rate=loss_rate)
 
     def test_sim_config_plan_runs_without_telemetry(self):
+        """The benchmark harness's call shape: ``SimConfig(loss_rate=...,
+        seed=...)`` passed as ``CampaignPlan(sim=...)``."""
         universe = small_universe()
-        result = execute(CampaignPlan(
-            universe=universe,
-            sim=SimConfig(visits_per_page=1, max_vantage_points=1, seed=7),
-        ))
+        sim = SimConfig(loss_rate=0.01, seed=7)
+        assert sim == CampaignConfig(loss_rate=0.01, seed=7)
+        result = execute(CampaignPlan(universe=universe, sim=sim))
+        assert result.config is sim
         assert result.summary.total_visits == 6
-
-    def test_flat_and_grouped_configs_run_identically(self):
-        universe = small_universe()
-        config = small_config()
-        pages = universe.pages[:2]
-        flat = execute(CampaignPlan(universe, sim=config, pages=pages))
-        grouped = execute(
-            CampaignPlan(
-                universe, sim=config.sim, telemetry=config.telemetry, pages=pages
-            )
-        )
-        assert len(flat.paired_visits) == 4  # 2 pages × 2 vantages
-        assert grouped.config == flat.config
-        assert [pv.plt_reduction_ms for pv in grouped.paired_visits] == [
-            pv.plt_reduction_ms for pv in flat.paired_visits
-        ]
 
     def test_consecutive_plan_single_modes_match_both(self):
         universe = small_universe()
