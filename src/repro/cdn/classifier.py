@@ -50,20 +50,50 @@ _DOMAIN_PATTERNS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _build_header_index(
-    providers: tuple[CdnProvider, ...]
-) -> tuple[dict[str, str], dict[str, str]]:
-    by_server = {p.header_server.lower(): p.name for p in providers}
-    by_via = {
-        p.header_via.lower(): p.name for p in providers if p.header_via is not None
-    }
-    return by_server, by_via
+@dataclass(frozen=True)
+class _ProviderIndex:
+    """Lookup tables ``classify_response`` matches a response against."""
+
+    #: Lower-cased ``Server`` / ``Via`` fingerprint → provider name.
+    by_server: dict[str, str]
+    by_via: dict[str, str]
+    #: Lower-cased shared edge domain → provider name.
+    by_domain: dict[str, str]
+    #: ``(provider name, hostname substrings)`` for the providers present.
+    patterns: tuple[tuple[str, tuple[str, ...]], ...]
 
 
-def _build_domain_index(providers: tuple[CdnProvider, ...]) -> dict[str, str]:
-    return {
-        domain.lower(): p.name for p in providers for domain in p.shared_domains
-    }
+def _build_index(providers: tuple[CdnProvider, ...]) -> _ProviderIndex:
+    known_names = {p.name for p in providers}
+    return _ProviderIndex(
+        by_server={p.header_server.lower(): p.name for p in providers},
+        by_via={
+            p.header_via.lower(): p.name
+            for p in providers
+            if p.header_via is not None
+        },
+        by_domain={
+            domain.lower(): p.name for p in providers for domain in p.shared_domains
+        },
+        patterns=tuple(
+            (name, patterns)
+            for name, patterns in _DOMAIN_PATTERNS.items()
+            if name in known_names
+        ),
+    )
+
+
+_default_index: _ProviderIndex | None = None
+
+
+def _default_provider_index() -> _ProviderIndex:
+    """The index of the (immutable) default registry, built on first use:
+    every HAR entry is classified, so rebuilding it per call dominated
+    the classifier's cost; building it at import would tax start-up."""
+    global _default_index
+    if _default_index is None:
+        _default_index = _build_index(default_providers())
+    return _default_index
 
 
 def classify_response(
@@ -76,30 +106,38 @@ def classify_response(
     Signals are checked in decreasing reliability order, mirroring
     LocEdge: exact header fingerprints, then exact shared-domain
     matches, then provider domain patterns.  Anything unmatched is
-    non-CDN.
+    non-CDN.  ``providers`` defaults to the built-in registry, whose
+    index is built once; a caller-supplied tuple is indexed per call.
     """
-    providers = providers if providers is not None else default_providers()
-    headers = {k.lower(): v for k, v in (headers or {}).items()}
-    by_server, by_via = _build_header_index(providers)
+    index = (
+        _default_provider_index() if providers is None else _build_index(providers)
+    )
+    # Header names are case-insensitive; the last spelling wins, as in
+    # a dict keyed by the lower-cased names.
+    server = via = ""
+    if headers:
+        for key, value in headers.items():
+            key = key.lower()
+            if key == "server":
+                server = value
+            elif key == "via":
+                via = value
+
+    server = server.lower()
+    if server in index.by_server:
+        return ClassificationResult(True, index.by_server[server], "header")
+    via = via.lower()
+    if via in index.by_via:
+        return ClassificationResult(True, index.by_via[via], "header")
+
     host = host.lower()
+    if host in index.by_domain:
+        return ClassificationResult(True, index.by_domain[host], "domain")
 
-    server = headers.get("server", "").lower()
-    if server in by_server:
-        return ClassificationResult(True, by_server[server], "header")
-    via = headers.get("via", "").lower()
-    if via in by_via:
-        return ClassificationResult(True, by_via[via], "header")
-
-    domain_index = _build_domain_index(providers)
-    if host in domain_index:
-        return ClassificationResult(True, domain_index[host], "domain")
-
-    known_names = {p.name for p in providers}
-    for provider_name, patterns in _DOMAIN_PATTERNS.items():
-        if provider_name not in known_names:
-            continue
-        if any(pattern in host for pattern in patterns):
-            return ClassificationResult(True, provider_name, "pattern")
+    for provider_name, patterns in index.patterns:
+        for pattern in patterns:
+            if pattern in host:
+                return ClassificationResult(True, provider_name, "pattern")
 
     return ClassificationResult.non_cdn()
 

@@ -220,9 +220,12 @@ class ConnectionPool:
         proxy_cache=None,
     ) -> None:
         self.loop = loop
-        #: Invariant checker (strict mode); the falsy null check keeps
-        #: every ``if self.check:`` guard a single bool test.
+        #: Invariant checker (strict mode); same falsy null-object
+        #: pattern as the transports.  Its truth value is read once into
+        #: ``_checking``, so a guard is a plain bool test, not a
+        #: ``__bool__`` call per request.
         self.check = check if check is not None else NULL_CHECK
+        self._checking = bool(self.check)
         self.session_cache = session_cache if session_cache is not None else SessionTicketCache()
         self.transport_config = transport_config or TransportConfig()
         self.rng = rng or random.Random(0)
@@ -474,14 +477,14 @@ class ConnectionPool:
             conn: BaseConnection = QuicConnection(
                 self.loop, path, config=self.transport_config,
                 rng=conn_rng, resumed=has_ticket, name=conn_name,
-                tracer=tracer, check=self.check or None, sampler=sampler,
+                tracer=tracer, check=self.check, sampler=sampler,
             )
         else:
             conn = TcpConnection(
                 self.loop, path, config=self.transport_config,
                 rng=conn_rng, resumed=has_ticket,
                 tls_version=opener.server.tls_version, name=conn_name,
-                tracer=tracer, check=self.check or None, sampler=sampler,
+                tracer=tracer, check=self.check, sampler=sampler,
             )
         pooled = _PooledConnection(conn, opener.protocol, host)
         pooled.resumed = has_ticket
@@ -589,7 +592,7 @@ class ConnectionPool:
             return
         pooled.handshake_counted = False
         self._active_handshakes -= 1
-        if self.check:
+        if self._checking:
             self.check.require(
                 self._active_handshakes >= 0,
                 "pool:handshake_slots_balanced",
@@ -890,7 +893,7 @@ class ConnectionPool:
         handshake=None,
     ) -> None:
         now = self.loop.now
-        if self.check:
+        if self._checking:
             self.check.require(
                 not pooled.failed and not pooled.conn.closed,
                 "pool:issue_on_dead_connection",
@@ -991,7 +994,7 @@ class ConnectionPool:
                 transfer_span[0] = spans.begin(
                     "transfer", fetch.url, t, parent=request_span
                 )
-            if self.check:
+            if self._checking:
                 self.check.require(
                     record.timing.wait >= 0.0,
                     "pool:wait_nonnegative",
@@ -1013,7 +1016,7 @@ class ConnectionPool:
                 # so the HAR never carries a negative phase.
                 receive = 0.0
             record.timing.receive = receive
-            if self.check:
+            if self._checking:
                 self.check.require(
                     record.timing.receive >= -EPSILON_MS,
                     "pool:receive_nonnegative",
@@ -1071,7 +1074,7 @@ class ConnectionPool:
         all_conns = list(self._multiplexed.values())
         for conns in self._h1_conns.values():
             all_conns.extend(conns)
-        if self.check:
+        if self._checking:
             counted = sum(1 for pooled in all_conns if pooled.handshake_counted)
             self.check.require(
                 self._active_handshakes == counted,

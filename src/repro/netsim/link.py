@@ -135,7 +135,10 @@ class Link:
         # deterministic drop filter is consulted: a filter-dropped packet
         # must still consume its loss draw, or the loss/jitter RNG stream
         # diverges from an unfiltered run for the rest of the visit.
-        loss_dropped = self.loss.should_drop(self.rng)
+        # ``NoLoss`` draws nothing, so skipping its call leaves the
+        # stream untouched.
+        loss = self.loss
+        loss_dropped = loss.__class__ is not NoLoss and loss.should_drop(self.rng)
         filter_dropped = self.drop_filter is not None and self.drop_filter(packet)
         if loss_dropped or filter_dropped:
             stats.dropped_packets += 1

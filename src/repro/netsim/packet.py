@@ -31,12 +31,17 @@ class PacketKind(enum.Enum):
     TICKET = "ticket"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StreamChunk:
     """A contiguous run of one stream's bytes carried by a packet.
 
     ``offset`` is the stream-relative byte offset; ``fin`` marks the last
     chunk of the stream.
+
+    Every data packet builds one, so construction is a single frame:
+    validation and the frozen fields' ``object.__setattr__`` stores
+    live in one hand-written ``__init__`` (a generated ``__init__``
+    plus ``__post_init__`` costs two).
     """
 
     stream_id: int
@@ -44,11 +49,18 @@ class StreamChunk:
     size: int
     fin: bool = False
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"chunk size must be positive, got {self.size}")
-        if self.offset < 0:
-            raise ValueError(f"chunk offset must be >= 0, got {self.offset}")
+    def __init__(
+        self, stream_id: int, offset: int, size: int, fin: bool = False
+    ) -> None:
+        if size <= 0:
+            raise ValueError(f"chunk size must be positive, got {size}")
+        if offset < 0:
+            raise ValueError(f"chunk offset must be >= 0, got {offset}")
+        setattr_ = object.__setattr__
+        setattr_(self, "stream_id", stream_id)
+        setattr_(self, "offset", offset)
+        setattr_(self, "size", size)
+        setattr_(self, "fin", fin)
 
     @property
     def end(self) -> int:

@@ -2,6 +2,8 @@
 
 Transports talk to a :class:`NetworkPath`, never to links directly:
 ``send_to_server`` / ``send_to_client`` push packets in each direction.
+On a plain path they *are* the two links' bound ``transmit`` methods,
+so a packet enters its link without a forwarding frame.
 A path is created from a :class:`~repro.netsim.netem.NetemProfile`, the
 declarative description of the conditions the paper imposes with
 ``tc netem``.
@@ -10,13 +12,11 @@ declarative description of the conditions the paper imposes with
 from __future__ import annotations
 
 import random
-from typing import Callable
 
 from repro.events import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.loss import make_loss_model
 from repro.netsim.netem import NetemProfile
-from repro.netsim.packet import Packet
 
 
 class NetworkPath:
@@ -60,22 +60,17 @@ class NetworkPath:
             name=f"{name}-down",
         )
 
+        #: ``send_to_server(packet, on_deliver)``: client → server over
+        #: the uplink; returns ``False`` on drop.
+        self.send_to_server = self.uplink.transmit
+        #: ``send_to_client(packet, on_deliver)``: server → client over
+        #: the downlink; returns ``False`` on drop.
+        self.send_to_client = self.downlink.transmit
+
     @property
     def rtt_ms(self) -> float:
         """Base round-trip time of the path."""
         return self.profile.rtt_ms
-
-    def send_to_server(
-        self, packet: Packet, on_deliver: Callable[[Packet], None]
-    ) -> bool:
-        """Client → server direction; returns ``False`` on drop."""
-        return self.uplink.transmit(packet, on_deliver)
-
-    def send_to_client(
-        self, packet: Packet, on_deliver: Callable[[Packet], None]
-    ) -> bool:
-        """Server → client direction; returns ``False`` on drop."""
-        return self.downlink.transmit(packet, on_deliver)
 
     def total_bytes_transferred(self) -> int:
         """Bytes delivered in both directions (ethics accounting)."""

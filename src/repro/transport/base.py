@@ -153,10 +153,6 @@ class _ServerStream:
     def request_complete(self) -> bool:
         return self.request_total is not None and self.request_received >= self.request_total
 
-    @property
-    def send_remaining(self) -> int:
-        return self.response_bytes - self.next_offset if self.response_queued else 0
-
 
 @dataclass(slots=True)
 class _PendingRequestPacket:
@@ -223,6 +219,11 @@ class BaseConnection:
         self.name = name
         self.stats = ConnectionStats()
         self.rtt = RttEstimator(self.config.initial_rto_ms, self.config.min_rto_ms)
+        # Model-based controllers (BBR) take delivery-rate samples; the
+        # controller is never swapped, so the hook is looked up once.
+        self._on_rate_sample: Callable[[float, float], None] | None = getattr(
+            self.cc, "on_rate_sample", None
+        )
 
         # Handshake state.
         self.established = False
@@ -474,7 +475,7 @@ class BaseConnection:
         timer = Timer(self.loop, lambda: self._on_request_timeout(seq))
         self._pending_requests[seq] = _PendingRequestPacket(pkt, timer, tries)
         timer.start(self.rtt.rto_ms * (2 ** min(tries, 6)))
-        self.path.send_to_server(pkt, self._server_on_packet)
+        self.path.send_to_server(pkt, self._server_on_request)
 
     def _on_request_timeout(self, seq: int) -> None:
         pending = self._pending_requests.pop(seq, None)
@@ -503,19 +504,20 @@ class BaseConnection:
 
     # ------------------------------------------------------------------
     # Server: receiving requests, queueing and sending responses
+    #
+    # Every packet kind is delivered straight to its own receiver, chosen
+    # by the sender: requests to ``_server_on_request``, data ACKs to
+    # ``_server_on_ack``, request ACKs to ``_client_on_request_ack`` and
+    # response data to ``_client_on_data``.  No receiver dispatches on
+    # ``Packet.kind``.
     # ------------------------------------------------------------------
 
-    def _server_on_packet(self, pkt: Packet) -> None:
-        if pkt.kind is PacketKind.ACK:
-            self._server_on_ack(pkt)
-            return
-        # A request data packet: ack it, then absorb new chunks.
+    def _server_on_request(self, pkt: Packet) -> None:
+        # Ack the request packet, then absorb its chunk (a request
+        # packet carries exactly one).
         ack = Packet(PacketKind.ACK, ack_seq=pkt.seq)
-        self.path.send_to_client(ack, self._client_on_packet_from_server)
-        for chunk in pkt.chunks:
-            self._server_absorb_request_chunk(chunk)
-
-    def _server_absorb_request_chunk(self, chunk: StreamChunk) -> None:
+        self.path.send_to_client(ack, self._client_on_request_ack)
+        (chunk,) = pkt.chunks
         sstream = self._server_streams.get(chunk.stream_id)
         if sstream is None or chunk.offset in sstream.request_offsets:
             return  # unknown stream or duplicate delivery
@@ -541,83 +543,94 @@ class BaseConnection:
 
         Retransmissions are sent first and are exempt from the window
         check (loss-recovery packets must not be starved by the very
-        congestion event that caused them).
-        """
-        sent_any = False
-        retx_queue = self._retx_queue
-        while retx_queue:
-            chunk, conn_start = retx_queue.popleft()
-            self._send_data_packet(chunk, conn_start, retransmission=True)
-            sent_any = True
-        mss = self.config.mss
-        # Sending never moves the window (only ACK, loss and PTO
-        # handling do), so it is read once per burst.
-        cwnd = self.cc.cwnd_bytes
-        send_queue = self._send_queue
-        while send_queue:
-            if self._bytes_in_flight + mss > cwnd:
-                break
-            stream_id = send_queue[0]
-            sstream = self._server_streams[stream_id]
-            if sstream.send_remaining <= 0:
-                send_queue.popleft()
-                continue
-            # Weighted round-robin: a stream emits up to ``weight``
-            # chunks per turn (H2 stream weights / H3 priorities),
-            # then yields to the next stream.
-            fin = False
-            for _ in range(sstream.weight):
-                remaining = sstream.send_remaining
-                if remaining <= 0:
-                    break
-                if self._bytes_in_flight + mss > cwnd:
-                    break
-                size = min(mss, remaining)
-                fin = sstream.next_offset + size >= sstream.response_bytes
-                chunk = StreamChunk(stream_id, sstream.next_offset, size, fin)
-                conn_start = self._conn_send_offset
-                self._conn_send_offset += size
-                sstream.next_offset += size
-                self._send_data_packet(chunk, conn_start, retransmission=False)
-                sent_any = True
-            send_queue.rotate(-1)
-            if fin:
-                # Drop the stream from the queue wherever it now is.
-                try:
-                    send_queue.remove(stream_id)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-        if sent_any:
-            self._arm_pto()
+        congestion event that caused them).  New data follows in
+        weighted round-robin: the stream at the head of the send queue
+        emits up to ``weight`` chunks per turn (H2 stream weights / H3
+        priorities), then yields to the next stream.
 
-    def _send_data_packet(
-        self, chunk: StreamChunk, conn_start: int, retransmission: bool
-    ) -> None:
-        """Send one data packet; the caller re-arms the PTO afterwards."""
-        seq = next(self._next_pkt_seq)
-        now = self.loop.now
-        pkt = Packet(
-            PacketKind.DATA,
-            seq=seq,
-            chunks=(chunk,),
-            sent_at=now,
-            retransmission=retransmission,
-            conn_start=conn_start,
-        )
-        self._largest_sent = seq
-        if self._first_data_sent_at is None:
-            self._first_data_sent_at = now
-        # The packet itself is the in-flight record: it already carries
-        # seq, chunk, conn_start, size, sent_at and the retransmit flag.
-        self._inflight[seq] = pkt
-        self._bytes_in_flight += pkt.size_bytes
+        The whole burst is one loop with one packet-build step: its
+        body runs once per data packet sent, so any helper frame here
+        would be paid per packet.  Sending schedules deliveries but
+        never runs a receiver synchronously, so nothing else reads or
+        changes this connection's send state mid-burst.
+        """
+        retx_queue = self._retx_queue
+        send_queue = self._send_queue
+        if not retx_queue and not send_queue:
+            return
+        mss = self.config.mss
+        server_streams = self._server_streams
+        inflight = self._inflight
         stats = self.stats
-        stats.data_packets_sent += 1
-        if retransmission:
-            stats.retransmissions += 1
-        if self._tracing:
-            self.tracer.packet_sent(now, seq, pkt.size_bytes, "s2c", retransmission)
-        self.path.send_to_client(pkt, self._client_on_packet_from_server)
+        next_seq = self._next_pkt_seq
+        send_to_client = self.path.send_to_client
+        on_data = self._client_on_data
+        now = self.loop.now
+        in_flight = self._bytes_in_flight
+        cwnd = -1  # read once the retransmissions are out
+        sstream: _ServerStream | None = None  # stream whose turn is running
+        turn_left = 0
+        seq = 0
+        while True:
+            if retx_queue:
+                chunk, conn_start = retx_queue.popleft()
+                retransmission = True
+            else:
+                if cwnd < 0:
+                    # Sending never moves the window (only ACK, loss
+                    # and PTO handling do), so it is read once a burst.
+                    cwnd = self.cc.cwnd_bytes
+                window_full = in_flight + mss > cwnd
+                if sstream is not None and (window_full or not turn_left):
+                    send_queue.rotate(-1)  # end of the stream's turn
+                    sstream = None
+                if window_full or not send_queue:
+                    break
+                if sstream is None:
+                    sstream = server_streams[send_queue[0]]
+                    turn_left = sstream.weight
+                # A queued stream always has bytes left: the chunk that
+                # carries its fin also takes it off the queue.
+                offset = sstream.next_offset
+                remaining = sstream.response_bytes - offset
+                fin = remaining <= mss
+                size = remaining if fin else mss
+                chunk = StreamChunk(sstream.stream_id, offset, size, fin)
+                sstream.next_offset = offset + size
+                conn_start = self._conn_send_offset
+                self._conn_send_offset = conn_start + size
+                retransmission = False
+                if fin:
+                    send_queue.popleft()  # a finished stream leaves the queue
+                    sstream = None
+                else:
+                    turn_left -= 1
+            seq = next(next_seq)
+            pkt = Packet(
+                PacketKind.DATA,
+                seq=seq,
+                chunks=(chunk,),
+                sent_at=now,
+                retransmission=retransmission,
+                conn_start=conn_start,
+            )
+            # The packet itself is the in-flight record: it already
+            # carries seq, chunk, conn_start, size, sent_at and the
+            # retransmit flag.
+            inflight[seq] = pkt
+            in_flight += pkt.size_bytes
+            stats.data_packets_sent += 1
+            if retransmission:
+                stats.retransmissions += 1
+            if self._tracing:
+                self.tracer.packet_sent(now, seq, pkt.size_bytes, "s2c", retransmission)
+            send_to_client(pkt, on_data)
+        self._bytes_in_flight = in_flight
+        if seq:
+            self._largest_sent = seq
+            if self._first_data_sent_at is None:
+                self._first_data_sent_at = now
+            self._arm_pto()
 
     def _server_on_ack(self, pkt: Packet) -> None:
         # One ACK packet may cover several data packets (``sack`` lists
@@ -648,7 +661,7 @@ class BaseConnection:
             sample = now - largest.sent_at - pkt.ack_delay_ms
             if sample >= 0:
                 self.rtt.on_sample(sample)
-        rate_sampler = getattr(self.cc, "on_rate_sample", None)
+        rate_sampler = self._on_rate_sample
         if rate_sampler is not None and self.rtt.srtt_ms:
             assert self._first_data_sent_at is not None
             elapsed = now - self._first_data_sent_at
@@ -770,10 +783,7 @@ class BaseConnection:
     # Client: receiving response data
     # ------------------------------------------------------------------
 
-    def _client_on_packet_from_server(self, pkt: Packet) -> None:
-        if pkt.kind is PacketKind.ACK:
-            self._client_on_request_ack(pkt)
-            return
+    def _client_on_data(self, pkt: Packet) -> None:
         # Receipt, not delivery, drives acking — this is what lets the
         # sender learn about gaps while the receiver is HoL-blocked.
         # ACKs are batched: every ``ack_frequency`` packets in the smooth
@@ -813,7 +823,7 @@ class BaseConnection:
             sack=pending,
             ack_delay_ms=self.loop.now - self._ack_last_recv_at,
         )
-        self.path.send_to_server(ack, self._server_on_packet)
+        self.path.send_to_server(ack, self._server_on_ack)
 
     def _on_data_packet_received(self, pkt: Packet) -> None:
         """Subclass hook: buffer/reorder and eventually deliver chunks."""

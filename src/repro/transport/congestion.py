@@ -59,7 +59,7 @@ class NewRenoController:
         return self._cwnd < self._ssthresh
 
     def on_ack(self, acked_bytes: int, now_ms: float) -> None:
-        if self.in_slow_start:
+        if self._cwnd < self._ssthresh:  # in_slow_start, without its frame
             self._cwnd += acked_bytes
         else:
             # Congestion avoidance: ~one MSS per cwnd of acked data.
@@ -121,7 +121,7 @@ class CubicController:
         return max(self._min_cwnd, target_seg * self.mss)
 
     def on_ack(self, acked_bytes: int, now_ms: float) -> None:
-        if self.in_slow_start:
+        if self._cwnd < self._ssthresh:  # in_slow_start, without its frame
             self._cwnd += acked_bytes
             return
         if self._w_max is None:

@@ -51,18 +51,16 @@ class QuicConnection(BaseConnection):
     # ------------------------------------------------------------------
 
     def _on_data_packet_received(self, pkt: Packet) -> None:
-        for chunk in pkt.chunks:
-            self._receive_stream_chunk(chunk)
-
-    def _receive_stream_chunk(self, chunk: StreamChunk) -> None:
+        (chunk,) = pkt.chunks  # a data packet carries one stream chunk
         stream_id = chunk.stream_id
+        offset = chunk.offset
         expected = self._stream_rcv_next.get(stream_id, 0)
-        if chunk.offset < expected:
+        if offset < expected:
             return  # duplicate
-        if chunk.offset > expected:
+        if offset > expected:
             # Gap *within this stream only*: other streams unaffected.
             buffer = self._stream_buffers.setdefault(stream_id, {})
-            if chunk.offset not in buffer:
+            if offset not in buffer:
                 if not buffer:
                     # This one stream just became blocked on a gap.
                     self._stream_stall_started[stream_id] = self.loop.now
@@ -71,16 +69,16 @@ class QuicConnection(BaseConnection):
                             self.loop.now, "transport:hol_stall_started",
                             stream_id=stream_id, blocked_from=expected,
                         )
-                buffer[chunk.offset] = chunk
+                buffer[offset] = chunk
                 self.stats.hol_blocked_chunks += 1
             return
-        self._deliver_chunk(chunk)
-        expected = chunk.end
-        buffer = self._stream_buffers.get(stream_id, {})
-        while expected in buffer:
-            queued = buffer.pop(expected)
-            self._deliver_chunk(queued)
-            expected = queued.end
+        # In order: deliver it, then every buffered chunk the gap was
+        # holding back, in stream order.
+        buffer = self._stream_buffers.get(stream_id)
+        while chunk is not None:
+            self._deliver_chunk(chunk)
+            expected = chunk.offset + chunk.size
+            chunk = buffer.pop(expected, None) if buffer else None
         self._stream_rcv_next[stream_id] = expected
         if not buffer:
             started = self._stream_stall_started.pop(stream_id, None)

@@ -109,10 +109,15 @@ class TcpConnection(BaseConnection):
                 self._reorder_buffer[start] = pkt
                 self.stats.hol_blocked_chunks += len(pkt.chunks)
             return
-        self._release_packet(pkt)
-        while self._rcv_next in self._reorder_buffer:
-            self._release_packet(self._reorder_buffer.pop(self._rcv_next))
-        if not self._reorder_buffer and self._stall_started_at is not None:
+        # In order: release it, then every buffered packet the gap was
+        # holding back, in connection order.
+        buffer = self._reorder_buffer
+        while pkt is not None:
+            self._rcv_next += pkt.payload_bytes
+            for chunk in pkt.chunks:
+                self._deliver_chunk(chunk)
+            pkt = buffer.pop(self._rcv_next, None)
+        if not buffer and self._stall_started_at is not None:
             duration = self.loop.now - self._stall_started_at
             self._stall_started_at = None
             self.stats.hol_stalls += 1
@@ -122,11 +127,6 @@ class TcpConnection(BaseConnection):
                     self.loop.now, "transport:hol_stall_ended",
                     duration_ms=duration,
                 )
-
-    def _release_packet(self, pkt: Packet) -> None:
-        self._rcv_next += pkt.payload_bytes
-        for chunk in pkt.chunks:
-            self._deliver_chunk(chunk)
 
     @property
     def reorder_buffer_bytes(self) -> int:

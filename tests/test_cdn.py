@@ -1,5 +1,7 @@
 """Tests for the CDN substrate: providers, edges, caches, classifier."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from repro.cdn import (
     default_providers,
     get_provider,
 )
+from repro.cdn import classifier as classifier_mod
 
 
 class TestProviderRegistry:
@@ -308,6 +311,105 @@ class TestClassifier:
         assert result.is_cdn
         assert result.provider_name == "fastly"
         assert result.matched_by == "pattern"
+
+
+def reference_classify(host, headers, providers):
+    """The classifier rebuilt from scratch for one call: the oracle the
+    cached default index must agree with."""
+    headers = {k.lower(): v for k, v in (headers or {}).items()}
+    by_server = {p.header_server.lower(): p.name for p in providers}
+    by_via = {
+        p.header_via.lower(): p.name for p in providers if p.header_via is not None
+    }
+    server = headers.get("server", "").lower()
+    if server in by_server:
+        return (True, by_server[server], "header")
+    via = headers.get("via", "").lower()
+    if via in by_via:
+        return (True, by_via[via], "header")
+    domains = {d.lower(): p.name for p in providers for d in p.shared_domains}
+    host = host.lower()
+    if host in domains:
+        return (True, domains[host], "domain")
+    known = {p.name for p in providers}
+    for name, patterns in classifier_mod._DOMAIN_PATTERNS.items():
+        if name in known and any(pattern in host for pattern in patterns):
+            return (True, name, "pattern")
+    return (False, None, None)
+
+
+class TestClassifierIndex:
+    """The default registry's index is built once, lazily; a
+    caller-supplied ``providers`` tuple is indexed per call.  Both must
+    classify exactly like a per-call rebuild."""
+
+    @pytest.fixture(scope="class")
+    def responses(self):
+        """Every (host, headers) the browser classifies in a generated
+        2-page campaign, plus each provider's edge headers."""
+        from repro.browser import browser as browser_mod
+        from repro.measurement.campaign import CampaignConfig
+        from repro.measurement.executor import CampaignPlan, execute
+        from repro.web.topsites import GeneratorConfig, cached_universe
+
+        seen = []
+        real = browser_mod.classify_response
+
+        def record(host, headers=None, providers=None):
+            seen.append((host, dict(headers or {})))
+            return real(host, headers, providers)
+
+        universe = cached_universe(GeneratorConfig(n_sites=6), seed=7)
+        browser_mod.classify_response = record
+        try:
+            execute(CampaignPlan(
+                universe=universe,
+                sim=CampaignConfig(),
+                pages=tuple(universe.pages[:2]),
+            ))
+        finally:
+            browser_mod.classify_response = real
+        for provider in default_providers():
+            edge = EdgeServer("edge.example", provider)
+            seen.append(("edge.example", edge.serve("r", 1000, "h2").headers))
+        # Every host of the universe once more without headers, so the
+        # domain and pattern signals are exercised too.
+        for page in universe.pages:
+            seen.extend((host, {}) for host in sorted(page.hosts()))
+        # Customer hostnames under each provider's domain patterns.
+        for patterns in classifier_mod._DOMAIN_PATTERNS.values():
+            seen.extend((f"Customer-7.{pattern.upper()}", {}) for pattern in patterns)
+        assert len(seen) > 100
+        return seen
+
+    def test_default_index_matches_per_call_build(self, responses, monkeypatch):
+        monkeypatch.setattr(classifier_mod, "_default_index", None)
+        providers = default_providers()
+        signals = set()
+        for host, headers in responses:
+            result = classify_response(host, headers)
+            expected = reference_classify(host, headers, providers)
+            assert (result.is_cdn, result.provider_name, result.matched_by) == expected
+            signals.add(expected[2])
+        assert signals == {"header", "domain", "pattern", None}
+        assert classifier_mod._default_index is not None  # built on first use
+
+    def test_custom_providers_match_per_call_build(self, responses):
+        # Drop two providers and rename a third: its headers still
+        # match, its domain patterns no longer do.
+        custom = tuple(
+            dataclasses.replace(p, name="renamed") if p.name == "akamai" else p
+            for p in default_providers()
+            if p.name not in ("cloudflare", "google")
+        )
+        verdicts = set()
+        for host, headers in responses:
+            result = classify_response(host, headers, providers=custom)
+            expected = reference_classify(host, headers, custom)
+            assert (result.is_cdn, result.provider_name, result.matched_by) == expected
+            verdicts.add(expected)
+        assert (True, "renamed", "header") in verdicts
+        assert (False, None, None) in verdicts
 
 
 class TestDictClassifier:

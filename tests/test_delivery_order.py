@@ -90,30 +90,28 @@ def test_tcp_delivery_follows_connection_byte_order():
     from repro.netsim import PacketKind
 
     state = {"n": 0}
+    sent_order = []  # (stream_id, offset) of first transmissions
 
-    def drop_third_data(pkt):
-        if pkt.kind is PacketKind.DATA:
-            state["n"] += 1
-            return state["n"] == 3
-        return False
-
-    path.downlink.drop_filter = drop_third_data
-    conn = TcpConnection(loop, path)
-    sent_order = []
-    original_send = conn._send_data_packet
-
-    def record_send(chunk, conn_start, retransmission):
-        if not retransmission:
+    def record_and_drop_third_data(pkt):
+        # Observes the server's data packets on the wire, in send order.
+        if pkt.kind is not PacketKind.DATA:
+            return False
+        if not pkt.retransmission:
+            chunk = pkt.chunks[0]
             sent_order.append((chunk.stream_id, chunk.offset))
-        original_send(chunk, conn_start, retransmission)
+        state["n"] += 1
+        return state["n"] == 3
 
-    conn._send_data_packet = record_send
+    path.downlink.drop_filter = record_and_drop_third_data
+    conn = TcpConnection(loop, path)
     recorder = _Recorder(conn)
     done = []
     conn.connect(done.append)
     loop.run_until(lambda: bool(done))
     streams = [conn.request(400, 9000) for _ in range(2)]
     loop.run_until(lambda: all(s.complete for s in streams))
+    assert sent_order  # the filter saw the transfer
+    assert conn.stats.retransmissions == 1  # the gap really opened
     delivered_order = [(sid, off) for sid, off, __ in recorder.deliveries]
     assert delivered_order == sent_order  # exact connection order
 

@@ -209,17 +209,17 @@ def black_hole_after(n_data):
 
 def start_black_holed_transfer(loop, n_data=12):
     conn, tracer = make_conn(QuicConnection, loop, drop=black_hole_after(n_data))
-    ack_times = []
-    real_on_ack = conn._server_on_ack
-
-    def on_ack(pkt):
-        real_on_ack(pkt)
-        ack_times.append(loop.now)
-
-    conn._server_on_ack = on_ack
     establish(conn, loop)
     conn.request(400, 400_000)
-    return conn, tracer, ack_times
+    return conn, tracer
+
+
+def ack_times(tracer):
+    """When the sender processed each newly-acknowledged packet (from
+    the trace): the last one is the last ACK that re-armed the PTO."""
+    return [
+        e["time"] for e in tracer.events if e["name"] == "transport:packet_acked"
+    ]
 
 
 def eager_schedule(start, base_ms, backoffs):
@@ -250,14 +250,16 @@ def count_pto_wakeups(monkeypatch, conn):
 class TestLazyPto:
     def test_black_hole_matches_eager_schedule(self, loop_cls, monkeypatch):
         loop = loop_cls()
-        conn, tracer, ack_times = start_black_holed_transfer(loop)
+        conn, tracer = start_black_holed_transfer(loop)
         dispatches = count_pto_wakeups(monkeypatch, conn)
         loop.run(until_ms=20_000)
         fires = pto_fires(tracer)
         backoffs = [b for _, b in fires]
         assert backoffs[:9] == [1, 2, 4, 8, 16, 32, 64, 64, 64]
         base = conn.rtt.rto_ms + conn.config.max_ack_delay_ms
-        assert [t for t, _ in fires] == eager_schedule(ack_times[-1], base, backoffs)
+        acked = ack_times(tracer)
+        assert len(acked) == 12  # every delivered data packet was acked
+        assert [t for t, _ in fires] == eager_schedule(acked[-1], base, backoffs)
         assert conn.stats.rto_events == len(fires)
         # Every dispatch that ran the PTO was at its deadline; the rest
         # were wake-ups that only rescheduled.
@@ -266,7 +268,7 @@ class TestLazyPto:
 
     def test_migration_reset_fires_at_earlier_deadline(self, loop_cls):
         loop = loop_cls()
-        conn, tracer, _ = start_black_holed_transfer(loop)
+        conn, tracer = start_black_holed_transfer(loop)
         loop.run_until(lambda: len(pto_fires(tracer)) == 4)
         assert conn._pto_backoff == 16
         pending = conn._pto_timer._deadline
