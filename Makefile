@@ -166,8 +166,10 @@ check-smoke:
 		--sites 6 --pages 4 --seed 7
 
 # Result-store smoke: the persistence contract end to end.
-# 1. Run a campaign twice against one store; the second run must be
-#    100% hits and its experiment output byte-identical to the first.
+# 1. Run a campaign (table2) and the consecutive walks (fig8) twice
+#    against one store; the second run must be 100% hits and its
+#    experiment output byte-identical to the first, and the walks must
+#    be a complete named run of two walks (h2, h3).
 # 2. Simulate an interrupted campaign, --resume it, and check the
 #    journal recovered the completed visits.
 # 3. `python -m repro.store verify` must find the store clean.
@@ -175,10 +177,10 @@ store-smoke:
 	rm -rf .store_smoke
 	mkdir -p .store_smoke
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.experiments.cli \
-		--scale smoke --sites 6 --experiments table2 \
+		--scale smoke --sites 6 --experiments table2,fig8 \
 		--store .store_smoke/st --run smoke --json .store_smoke/run1.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.experiments.cli \
-		--scale smoke --sites 6 --experiments table2 \
+		--scale smoke --sites 6 --experiments table2,fig8 \
 		--store .store_smoke/st --run smoke --json .store_smoke/run2.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "\
 	import json; \
@@ -188,6 +190,9 @@ store-smoke:
 	sa = a['manifest']['store']['stats']; sb = b['manifest']['store']['stats']; \
 	assert sa['hits'] == 0 and sa['misses'] > 0, sa; \
 	assert sb['misses'] == 0 and sb['hit_rate'] == 1.0, sb; \
+	from repro.store import ResultStore; store = ResultStore('.store_smoke/st'); \
+	walks = store.run_info('smoke/consecutive'); store.close(); \
+	assert walks is not None and walks.complete and walks.n_visits == 2, walks; \
 	print('store-smoke: warm run 100%% hits, output bit-identical')"
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "\
 	import repro.measurement.parallel as par; \

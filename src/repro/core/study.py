@@ -76,7 +76,9 @@ class StudyConfig:
     #: Base name for this study's runs in the store (each stage appends
     #: its own suffix, e.g. ``<run_name>/campaign``).
     run_name: str = "study"
-    #: Continue interrupted runs of the same name instead of restarting.
+    #: Continue interrupted campaign and sweep runs of the same name
+    #: instead of restarting.  Walks replay whole from their content
+    #: keys, so there is nothing inside one to resume.
     resume: bool = False
 
     def resolved_generator_config(self) -> GeneratorConfig:
@@ -149,31 +151,18 @@ class H3CdnStudy:
     def consecutive_runs(self) -> tuple[ConsecutiveRun, ConsecutiveRun]:
         """(H2 walk, H3 walk) over the ordered page list."""
         if self._consecutive is None:
-            store = self.config.store
-            run_name = None
-            if store is not None:
-                from repro.store.keys import campaign_config_hash
-
-                run_name = f"{self.config.run_name}/consecutive"
-                store.begin_run(
-                    run_name,
-                    config_hash=campaign_config_hash(self.config.campaign_config),
-                    resume=self.config.resume,
-                )
             self._consecutive = execute(ConsecutivePlan(
                 universe=self.universe,
                 pages=tuple(self._pages(self.config.max_consecutive_pages)),
                 seed=self.config.seed,
                 strict=self.config.campaign_config.strict,
-                store=store,
-                run_name=run_name,
+                store=self.config.store,
+                run_name=(
+                    f"{self.config.run_name}/consecutive"
+                    if self.config.store is not None
+                    else None
+                ),
             ))
-            if store is not None and run_name is not None:
-                # The journal holds both walks' keys in completion
-                # order (deduped in case a resume re-journaled one).
-                store.finish_run(
-                    run_name, list(dict.fromkeys(store.journal_keys(run_name)))
-                )
         return self._consecutive
 
     # -- Section IV: adoption --------------------------------------------

@@ -20,7 +20,7 @@ from repro.measurement.campaign import (
     PairedVisit,
     SimConfig,
 )
-from repro.measurement.consecutive import ConsecutiveRun, ConsecutiveVisitRunner
+from repro.measurement.consecutive import ConsecutiveRun
 from repro.measurement.executor import (
     CampaignPlan,
     ConsecutivePlan,
@@ -30,11 +30,7 @@ from repro.measurement.executor import (
 )
 from repro.measurement.farm import ProbeNetProfile, ServerFarm
 from repro.measurement.outcome import VisitFailure, VisitOutcome
-from repro.measurement.parallel import (
-    derive_seed,
-    measure_paired_visit,
-    measure_visit_outcome,
-)
+from repro.measurement.parallel import derive_seed, measure_visit_outcome
 from repro.measurement.probe import Probe
 from repro.measurement.report import (
     CampaignReport,
@@ -61,7 +57,6 @@ __all__ = [
     "CampaignSummary",
     "ConsecutivePlan",
     "ConsecutiveRun",
-    "ConsecutiveVisitRunner",
     "FixedGridHistogram",
     "ModeFold",
     "ModeSummary",
@@ -80,7 +75,6 @@ __all__ = [
     "derive_seed",
     "execute",
     "global_vantage_points",
-    "measure_paired_visit",
     "measure_visit_outcome",
     "summary_report",
 ]

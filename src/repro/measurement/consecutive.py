@@ -6,6 +6,9 @@ session-ticket store survives, so a connection to a CDN hostname
 already seen on an *earlier page* can resume (H3: 0-RTT; H2: TCP round
 trip + TLS early data).  This is the mechanism behind the paper's
 Fig. 8 and the Table III case study.
+
+``execute(ConsecutivePlan)`` runs one :func:`walk` per mode and owns
+the walks' store reads and writes.
 """
 
 from __future__ import annotations
@@ -13,12 +16,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.browser.browser import H2_ONLY, H3_ENABLED, PageVisit
-from repro.measurement.farm import ProbeNetProfile
+from repro.browser.browser import PageVisit
 from repro.measurement.probe import Probe
-from repro.transport.config import TransportConfig
-from repro.web.page import Webpage
-from repro.web.topsites import WebUniverse
 
 #: Serialization format of a stored consecutive walk.
 WALK_FORMAT = "repro-h3cdn-walk/1"
@@ -57,112 +56,57 @@ class ConsecutiveRun:
         )
 
 
-class ConsecutiveVisitRunner:
-    """Walks an ordered page list with session state carried across pages."""
+def walk_material(plan) -> dict:
+    """Everything but the mode and pages that shapes one walk.
 
-    def __init__(
-        self,
-        universe: WebUniverse,
-        net_profile: ProbeNetProfile | None = None,
-        seed: int = 0,
-        transport_config: TransportConfig | None = None,
-        use_session_tickets: bool = True,
-        warm_edges_first: bool = True,
-        strict: bool = False,
-        store=None,
-        run_name: str | None = None,
-    ) -> None:
-        self.universe = universe
-        self.net_profile = net_profile
-        self.seed = seed
-        self.transport_config = transport_config
-        self.use_session_tickets = use_session_tickets
-        self.warm_edges_first = warm_edges_first
-        self.strict = strict
-        self.store = store
-        self.run_name = run_name
+    It is the config part of every walk key
+    (:func:`~repro.store.keys.consecutive_key`), and its hash is the
+    ``config_hash`` of a named walk run.
+    """
+    from repro.store.keys import transport_part
 
-    def _walk_key(self, pages, mode: str) -> str:
-        """Content-addressed key for one whole walk under one mode.
+    return {
+        "net_profile": (
+            dataclasses.asdict(plan.net_profile)
+            if plan.net_profile is not None
+            else None
+        ),
+        "seed": plan.seed,
+        "transport": (
+            transport_part(plan.transport_config)
+            if plan.transport_config is not None
+            else None
+        ),
+        "use_session_tickets": plan.use_session_tickets,
+        "warm_edges_first": plan.warm_edges_first,
+        "strict": plan.strict,
+    }
 
-        Session tickets carry state from page to page, so individual
-        visits don't cache independently — the ordered walk is the unit.
-        """
-        from repro.store.keys import consecutive_key, page_part, transport_part
 
-        config_material = {
-            "net_profile": (
-                dataclasses.asdict(self.net_profile)
-                if self.net_profile is not None
-                else None
-            ),
-            "seed": self.seed,
-            "transport": (
-                transport_part(self.transport_config)
-                if self.transport_config is not None
-                else None
-            ),
-            "use_session_tickets": self.use_session_tickets,
-            "warm_edges_first": self.warm_edges_first,
-            "strict": self.strict,
-        }
-        return consecutive_key(
-            mode,
-            [page_part(page, self.universe.hosts) for page in pages],
-            config_material,
-        )
+def walk(plan, mode: str) -> ConsecutiveRun:
+    """Visit ``plan.pages`` in order under ``mode``; tickets persist.
 
-    def _run_mode(
-        self, pages: list[Webpage] | tuple[Webpage, ...], mode: str
-    ) -> ConsecutiveRun:
-        """Visit ``pages`` in order under ``mode``; tickets persist.
+    A fresh probe (fresh clock, caches and ticket store) is built per
+    walk so that H2 and H3 walks are independent, mirroring the
+    paper's separate browser instances.
+    """
+    check = None
+    if plan.strict:
+        from repro.check import CheckContext
 
-        A fresh probe (fresh clock, caches and ticket store) is built
-        per run so that H2 and H3 walks are independent, mirroring the
-        paper's separate browser instances.  With a store attached, a
-        previously completed identical walk is replayed bit-identically
-        instead of re-simulated.
-        """
-        if mode not in (H2_ONLY, H3_ENABLED):
-            raise ValueError(f"unknown mode {mode!r}")
-        walk_key = None
-        if self.store is not None:
-            walk_key = self._walk_key(pages, mode)
-            document = self.store.get(walk_key)
-            if document is not None:
-                run = ConsecutiveRun.from_dict(document)
-                run.source = "replay"
-                if self.run_name is not None:
-                    self.store.journal_visit(self.run_name, walk_key, "replay")
-                return run
-        check = None
-        if self.strict:
-            from repro.check import CheckContext
-
-            check = CheckContext()
-        probe = Probe(
-            name=f"consecutive-{mode}",
-            universe=self.universe,
-            net_profile=self.net_profile,
-            seed=self.seed,
-            transport_config=self.transport_config,
-            use_session_tickets=self.use_session_tickets,
-            check=check,
-        )
-        if self.warm_edges_first:
-            probe.warm_edges(pages)
-        probe.clear_session_state()
-        visits = [probe.visit_once(page, mode) for page in pages]
-        run = ConsecutiveRun(mode=mode, visits=visits)
-        if self.store is not None and walk_key is not None:
-            self.store.put(
-                walk_key,
-                run.to_dict(),
-                kind="consecutive",
-                config_hash="",
-                page_url=pages[0].url if pages else None,
-                probe=f"consecutive-{mode}",
-            )
-            if self.run_name is not None:
-                self.store.journal_visit(self.run_name, walk_key, "fresh")
-        return run
+        check = CheckContext()
+    probe = Probe(
+        name=f"consecutive-{mode}",
+        universe=plan.universe,
+        net_profile=plan.net_profile,
+        seed=plan.seed,
+        transport_config=plan.transport_config,
+        use_session_tickets=plan.use_session_tickets,
+        check=check,
+    )
+    if plan.warm_edges_first:
+        probe.warm_edges(plan.pages)
+    probe.clear_session_state()
+    return ConsecutiveRun(
+        mode=mode, visits=[probe.visit_once(page, mode) for page in plan.pages]
+    )

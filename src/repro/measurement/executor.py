@@ -7,7 +7,13 @@ measurements:
 * ``execute(MultiCampaignPlan)`` — several configs over one shared
   worker pool (the Fig. 9 loss sweep, the fallback sweep).
 * ``execute(ConsecutivePlan)`` — ordered consecutive-visit walks
-  (Fig. 8 / Table III).
+  (Fig. 8 / Table III); each walk is stored whole, as one visit of a
+  named run.
+
+Every store write goes through this module's ``_StoreBatcher``, so a
+named run — campaign, sweep point or walk — is always opened with
+``begin_run``, written with ``put_batch`` and closed with
+``mark_run_complete``.
 
 Streaming
 =========
@@ -30,11 +36,11 @@ instead *streams*:
    buffer bridges completion order to slot order; float folds are
    order-sensitive, canonical order is what makes workers=1 == N).
 4. Store write-through is batched: entries, journal rows and the
-   ordered ``run_visits`` list commit one batch at a time
-   (:meth:`~repro.store.store.ResultStore.put_batch`), and a
-   ``finally`` flush preserves per-visit durability when an
-   interruption propagates — mid-stream resume picks up from the
-   journal exactly as before.
+   ordered ``run_visits`` list commit once per ``DEFAULT_STORE_BATCH``
+   folded visits (:meth:`~repro.store.store.ResultStore.put_batch`).
+   A ``finally`` flush commits the partial batch when an exception or
+   ``KeyboardInterrupt`` propagates, so ``resume`` recovers every
+   folded visit; a hard kill loses at most the uncommitted batch.
 
 With ``summary_only=True`` no ``PairedVisit`` is retained at all:
 ``CampaignResult.paired_visits`` stays empty and analyses consume
@@ -58,7 +64,7 @@ from repro.measurement.campaign import (
     CampaignResult,
     PairedVisit,
 )
-from repro.measurement.consecutive import ConsecutiveRun, ConsecutiveVisitRunner
+from repro.measurement.consecutive import ConsecutiveRun, walk, walk_material
 from repro.measurement.outcome import VisitFailure, VisitOutcome
 from repro.measurement.summary import CampaignSummary
 from repro.measurement.vantage import VantagePoint, default_vantage_points
@@ -91,7 +97,6 @@ class CampaignPlan:
     vantage_points: tuple[VantagePoint, ...] | None = None
     workers: int = 1
     chunk_size: int | None = None
-    start_method: str | None = None
     store: object | None = None
     run_name: str | None = None
     resume: bool = False
@@ -101,8 +106,6 @@ class CampaignPlan:
     #: Maximum work units submitted-but-unconsumed (default
     #: ``max(2, 2 * workers)``).
     max_in_flight: int | None = None
-    #: Visits per store write-through commit.
-    store_batch: int = DEFAULT_STORE_BATCH
 
 
 @dataclass(frozen=True)
@@ -116,13 +119,11 @@ class MultiCampaignPlan:
     vantage_points: tuple[VantagePoint, ...] | None = None
     workers: int = 1
     chunk_size: int | None = None
-    start_method: str | None = None
     store: object | None = None
     run_prefix: str | None = None
     resume: bool = False
     summary_only: bool = False
     max_in_flight: int | None = None
-    store_batch: int = DEFAULT_STORE_BATCH
 
 
 @dataclass(frozen=True)
@@ -150,60 +151,70 @@ def execute(plan):
 
 @execute.register
 def _execute_campaign(plan: CampaignPlan) -> CampaignResult:
-    results = _stream_campaigns(
-        plan.universe,
-        {"campaign": plan.sim},
-        pages=plan.pages,
-        page_count=plan.page_count,
-        vantage_points=plan.vantage_points,
-        workers=plan.workers,
-        chunk_size=plan.chunk_size,
-        start_method=plan.start_method,
-        store=plan.store,
-        run_prefix=plan.run_name,
-        resume=plan.resume,
-        summary_only=plan.summary_only,
-        max_in_flight=plan.max_in_flight,
-        store_batch=plan.store_batch,
-    )
+    results = _stream_campaigns(plan, {"campaign": plan.sim}, plan.run_name)
     return results["campaign"]
 
 
 @execute.register
 def _execute_multi(plan: MultiCampaignPlan) -> dict:
-    return _stream_campaigns(
-        plan.universe,
-        plan.configs,
-        pages=plan.pages,
-        page_count=plan.page_count,
-        vantage_points=plan.vantage_points,
-        workers=plan.workers,
-        chunk_size=plan.chunk_size,
-        start_method=plan.start_method,
-        store=plan.store,
-        run_prefix=plan.run_prefix,
-        resume=plan.resume,
-        summary_only=plan.summary_only,
-        max_in_flight=plan.max_in_flight,
-        store_batch=plan.store_batch,
-    )
+    return _stream_campaigns(plan, plan.configs, plan.run_prefix)
 
 
 @execute.register
 def _execute_consecutive(plan: ConsecutivePlan):
-    runner = ConsecutiveVisitRunner(
-        plan.universe,
-        net_profile=plan.net_profile,
-        seed=plan.seed,
-        transport_config=plan.transport_config,
-        use_session_tickets=plan.use_session_tickets,
-        warm_edges_first=plan.warm_edges_first,
-        strict=plan.strict,
-        store=plan.store,
-        run_name=plan.run_name,
+    """Run one walk per mode; with a store, replay or write each whole.
+
+    A walk is one store entry keyed by its content: session tickets
+    flow from page to page, so its visits do not cache apart.  A named
+    run takes the campaign's steps — ``begin_run``, one ``put_batch``
+    per fresh walk (entry, ``fresh`` journal row and ``run_visits`` at
+    position = mode index), then ``mark_run_complete``.
+    """
+    for mode in plan.modes:
+        if mode not in (H2_ONLY, H3_ENABLED):
+            raise ValueError(f"unknown mode {mode!r}")
+    store, run_name = plan.store, plan.run_name
+    if store is None:
+        runs = tuple(walk(plan, mode) for mode in plan.modes)
+        return runs[0] if len(runs) == 1 else runs
+    from repro.store.keys import (
+        blake2b_hex,
+        canonical_json,
+        consecutive_key,
+        page_part,
     )
-    runs = tuple(runner._run_mode(plan.pages, mode) for mode in plan.modes)
-    return runs[0] if len(runs) == 1 else runs
+
+    material = walk_material(plan)
+    config_hash = blake2b_hex(canonical_json(material).encode())
+    pages_material = [page_part(page, plan.universe.hosts) for page in plan.pages]
+    if run_name is not None:
+        store.begin_run(run_name, config_hash=config_hash)
+    batcher = _StoreBatcher(store, batch=1)
+    runs = []
+    for position, mode in enumerate(plan.modes):
+        walk_key = consecutive_key(mode, pages_material, material)
+        document = store.get(walk_key)
+        if document is not None:
+            run = ConsecutiveRun.from_dict(document)
+            run.source = "replay"
+        else:
+            run = walk(plan, mode)
+            batcher.add_fresh(
+                walk_key,
+                run.to_dict(),
+                kind="consecutive",
+                config_hash=config_hash,
+                page_url=plan.pages[0].url if plan.pages else None,
+                probe=f"consecutive-{mode}",
+                run_name=run_name,
+            )
+        if run_name is not None:
+            batcher.add_run_visit(run_name, position, walk_key)
+        batcher.visit_done()
+        runs.append(run)
+    if run_name is not None:
+        store.mark_run_complete(run_name, len(runs))
+    return runs[0] if len(runs) == 1 else tuple(runs)
 
 
 # ----------------------------------------------------------------------
@@ -250,9 +261,10 @@ class _StoreBatcher:
     """Groups store writes into one transaction per ``batch`` visits.
 
     Entries, journal rows and ordered ``run_visits`` rows all commit
-    together, so a flushed batch is durable as a unit; the executor's
-    ``finally`` flush keeps interrupt semantics per-visit for the
-    serial path (everything folded before the exception is flushed).
+    together, so a flushed batch is durable as a unit.  Up to
+    ``batch - 1`` folded visits wait in memory: the executor's
+    ``finally`` flush commits them when an exception propagates, but a
+    hard kill loses them.
     """
 
     def __init__(self, store, batch: int) -> None:
@@ -269,6 +281,7 @@ class _StoreBatcher:
         visit_key: str,
         document: dict,
         *,
+        kind: str,
         config_hash: str,
         page_url: str | None,
         probe: str | None,
@@ -285,7 +298,7 @@ class _StoreBatcher:
                 {
                     "key": visit_key,
                     "document": document,
-                    "kind": "paired",
+                    "kind": kind,
                     "config_hash": config_hash,
                     "page_url": page_url,
                     "probe": probe,
@@ -349,27 +362,19 @@ class _KeyState:
 
 
 def _stream_campaigns(
-    universe,
+    plan: CampaignPlan | MultiCampaignPlan,
     configs: dict[Hashable, CampaignConfig],
-    *,
-    pages=None,
-    page_count=None,
-    vantage_points=None,
-    workers: int = 1,
-    chunk_size: int | None = None,
-    start_method: str | None = None,
-    store=None,
-    run_prefix: str | None = None,
-    resume: bool = False,
-    summary_only: bool = False,
-    max_in_flight: int | None = None,
-    store_batch: int = DEFAULT_STORE_BATCH,
+    run_prefix: str | None,
 ) -> dict[Hashable, CampaignResult]:
     """The engine: enumerate → (replay | simulate) → fold, streaming."""
-    source = PageSource(universe, pages=pages, count=page_count)
+    universe, store, workers = plan.universe, plan.store, plan.workers
+    summary_only = plan.summary_only
+    source = PageSource(universe, pages=plan.pages, count=plan.page_count)
     n_pages = len(source)
     all_vps = tuple(
-        vantage_points if vantage_points is not None else default_vantage_points()
+        plan.vantage_points
+        if plan.vantage_points is not None
+        else default_vantage_points()
     )
 
     # -- per-config setup ---------------------------------------------
@@ -391,7 +396,9 @@ def _stream_campaigns(
             )
             if state.run_name is not None:
                 state.prior = store.begin_run(
-                    state.run_name, config_hash=state.config_hash, resume=resume
+                    state.run_name,
+                    config_hash=state.config_hash,
+                    resume=plan.resume,
                 )
 
     if store is not None:
@@ -415,7 +422,9 @@ def _stream_campaigns(
                 page_materials.move_to_end(page_index)
             return material
 
-    batcher = _StoreBatcher(store, store_batch) if store is not None else None
+    batcher = (
+        _StoreBatcher(store, DEFAULT_STORE_BATCH) if store is not None else None
+    )
 
     # -- progress ------------------------------------------------------
     progress = None
@@ -428,15 +437,19 @@ def _stream_campaigns(
         )
 
     # -- chunking and windowing ----------------------------------------
-    if chunk_size is not None:
-        per_chunk = chunk_size
+    if plan.chunk_size is not None:
+        per_chunk = plan.chunk_size
     else:
         per_chunk = min(
             parallel_mod._default_chunk_size(n_pages, workers), MAX_AUTO_CHUNK
         )
     per_chunk = max(1, per_chunk)
     pooled = workers > 1
-    max_units = max_in_flight if max_in_flight is not None else max(2, 2 * workers)
+    max_units = (
+        plan.max_in_flight
+        if plan.max_in_flight is not None
+        else max(2, 2 * workers)
+    )
     ready_cap = max(256, 2 * max_units * per_chunk)
 
     exec_stats = {
@@ -508,6 +521,7 @@ def _stream_campaigns(
                 wrote = batcher.add_fresh(
                     visit_key,
                     document,
+                    kind="paired",
                     config_hash=state.config_hash,
                     page_url=source[page_index].url,
                     probe=probe_name,
@@ -548,8 +562,7 @@ def _stream_campaigns(
     interrupted = False
     try:
         if pooled:
-            ctx = multiprocessing.get_context(start_method)
-            pool = ctx.Pool(
+            pool = multiprocessing.Pool(
                 processes=workers,
                 initializer=parallel_mod._init_worker,
                 initargs=(universe, all_vps, configs, source),
@@ -620,9 +633,8 @@ def _stream_campaigns(
                         if not staged:
                             if pool is None:
                                 # Serial: simulate right here, one visit
-                                # at a time — folding (and the store
-                                # write-through) keeps the legacy
-                                # per-visit journal granularity.
+                                # at a time; its store write joins the
+                                # current batch when it is folded.
                                 exec_stats["units_submitted"] += 1
                                 outcome = parallel_mod.measure_visit_outcome(
                                     universe,
@@ -673,8 +685,8 @@ def _stream_campaigns(
                 pool.close()
             pool.join()
         # Durability on interrupt: everything folded so far commits, so
-        # the journal reflects every completed visit (per-visit in the
-        # serial path) and a --resume run recovers it.
+        # the journal reflects every folded visit and a --resume run
+        # recovers it.
         if batcher is not None:
             batcher.flush()
 

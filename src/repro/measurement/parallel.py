@@ -30,7 +30,7 @@ from typing import Hashable
 
 from repro.browser.browser import H2_ONLY, H3_ENABLED
 from repro.check.context import InvariantViolation
-from repro.measurement.campaign import CampaignConfig, PairedVisit
+from repro.measurement.campaign import CampaignConfig
 from repro.measurement.outcome import VisitOutcome
 from repro.measurement.probe import Probe
 from repro.measurement.vantage import VantagePoint
@@ -50,7 +50,7 @@ def derive_seed(
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
-def measure_paired_visit(
+def measure_visit_outcome(
     universe: WebUniverse,
     vantage: VantagePoint,
     vp_index: int,
@@ -58,15 +58,21 @@ def measure_paired_visit(
     config: CampaignConfig,
     page: Webpage,
     page_index: int,
-) -> PairedVisit:
+) -> VisitOutcome:
     """Measure one page from one probe in a fresh, isolated simulation.
 
-    This is *the* unit of campaign work — the serial fallback and the
+    This is *the* unit of campaign work — the serial path and the
     worker processes both call it, which is what makes parallel runs
     reproduce serial ones exactly: nothing (event-loop clock, RNG
     position, cache state) leaks between pages.  When the config asks
     for counters or traces, a per-visit-scoped ``ObsContext`` rides
     along; its payloads cross the process gap inside the visit dicts.
+
+    Graceful degradation lives here: with a fault profile active, a
+    visit that raises out of the simulator becomes a ``failed`` outcome
+    (recorded campaign-side as a :class:`VisitFailure`) instead of
+    poisoning the whole run.  Fault-free runs re-raise — a crash there
+    is a bug and must stay loud.
     """
     obs = None
     if (
@@ -94,71 +100,42 @@ def measure_paired_visit(
         from repro.check import CheckContext
 
         check = CheckContext()
-    probe = Probe(
-        name=f"{vantage.name}-{probe_index}",
-        universe=universe,
-        net_profile=vantage.net_profile(
-            loss_rate=config.loss_rate, rate_mbps=config.rate_mbps
-        ),
-        seed=derive_seed(config.seed, vp_index, probe_index, page_index),
-        transport_config=config.transport_config,
-        use_session_tickets=config.use_session_tickets,
-        obs=obs,
-        fault_profile=config.fault_profile,
-        check=check,
-        proxy=config.proxy,
-        cache_hierarchy=config.cache_hierarchy,
-        compression=config.compression,
-    )
-    if config.warm_popular:
-        probe.warm_edges((page,))
-    h2 = probe.measure_page(page, H2_ONLY, visits=config.visits_per_page)
-    h3 = probe.measure_page(page, H3_ENABLED, visits=config.visits_per_page)
-    loop_profile = probe.loop.profile_stats() if config.profile_loop else None
-    return PairedVisit(
-        page=page, probe_name=probe.name, h2=h2, h3=h3,
-        loop_profile=loop_profile,
-    )
-
-
-def measure_visit_outcome(
-    universe: WebUniverse,
-    vantage: VantagePoint,
-    vp_index: int,
-    probe_index: int,
-    config: CampaignConfig,
-    page: Webpage,
-    page_index: int,
-) -> VisitOutcome:
-    """Measure one paired visit and wrap it as a :class:`VisitOutcome`.
-
-    Graceful degradation lives here: with a fault profile active, a
-    visit that raises out of the simulator becomes a ``failed`` outcome
-    (recorded campaign-side as a :class:`VisitFailure`) instead of
-    poisoning the whole run.  Fault-free runs deliberately get *no*
-    exception handling — a crash there is a bug and must stay loud.
-    """
-    if config.fault_profile is None:
-        paired = measure_paired_visit(
-            universe, vantage, vp_index, probe_index, config, page, page_index
-        )
-        return VisitOutcome.from_visits(
-            page_index, paired.h2, paired.h3, profile=paired.loop_profile
-        )
     try:
-        paired = measure_paired_visit(
-            universe, vantage, vp_index, probe_index, config, page, page_index
+        probe = Probe(
+            name=f"{vantage.name}-{probe_index}",
+            universe=universe,
+            net_profile=vantage.net_profile(
+                loss_rate=config.loss_rate, rate_mbps=config.rate_mbps
+            ),
+            seed=derive_seed(config.seed, vp_index, probe_index, page_index),
+            transport_config=config.transport_config,
+            use_session_tickets=config.use_session_tickets,
+            obs=obs,
+            fault_profile=config.fault_profile,
+            check=check,
+            proxy=config.proxy,
+            cache_hierarchy=config.cache_hierarchy,
+            compression=config.compression,
         )
+        if config.warm_popular:
+            probe.warm_edges((page,))
+        h2 = probe.measure_page(page, H2_ONLY, visits=config.visits_per_page)
+        h3 = probe.measure_page(page, H3_ENABLED, visits=config.visits_per_page)
     except InvariantViolation:
         # A failed invariant is a simulator bug, not a simulated fault:
         # it must stay loud even under graceful degradation.
         raise
     except Exception as exc:  # noqa: BLE001 — degrade, don't poison the run
+        if config.fault_profile is None:
+            raise
         return VisitOutcome.from_error(
             page_index, f"{type(exc).__name__}: {exc}"
         )
     return VisitOutcome.from_visits(
-        page_index, paired.h2, paired.h3, profile=paired.loop_profile
+        page_index,
+        h2,
+        h3,
+        profile=probe.loop.profile_stats() if config.profile_loop else None,
     )
 
 

@@ -7,18 +7,23 @@ Layout of a store directory::
 
 The sqlite database is the source of truth: each ``entries`` row maps a
 content-addressed key to a ``(offset, length, payload_hash)`` slice of
-the artifact file.  Payloads are written append-only and committed
-together with their index row, one transaction per visit — that
-transaction sequence *is* the write-ahead journal that makes
-interrupted campaigns resumable: a killed run leaves every completed
-visit durable and replayable, and at worst one orphaned artifact line
-(no index row), which ``gc`` compacts away.
+the artifact file.  :meth:`ResultStore.put_batch` is the only writer:
+it appends a batch's payloads, then commits their index rows together
+with the batch's journal and ``run_visits`` rows in one transaction.
+The executor commits once per
+:data:`~repro.measurement.executor.DEFAULT_STORE_BATCH` (16) visits and
+flushes the partial batch when an exception or ``KeyboardInterrupt``
+propagates, so an interrupted campaign resumes from every visit it
+folded.  A hard kill loses at most the uncommitted batch (up to 15
+completed visits) and leaves at worst orphaned artifact bytes (no
+index row), which ``gc`` compacts away.
 
-Named runs map a label to the ordered key list of a finished campaign
-(``run_visits``) plus the per-visit completion journal (``journal``).
-``gc`` prunes entries reachable from neither; ``verify`` re-hashes
-every payload against the index and re-checks the HAR invariants from
-:mod:`repro.check`.
+Named runs map a label to the ordered key list of a run
+(``run_visits``) plus the journal of visits it simulated
+(``journal``); a campaign's visits are its slots, a walk run's are its
+whole walks, one per mode.  ``gc`` prunes entries reachable from
+neither; ``verify`` re-hashes every payload against the index and
+re-checks the HAR invariants from :mod:`repro.check`.
 
 Single-writer by design: the campaign parent process is the only
 writer (workers ship outcomes back over the pool), so there is no
@@ -230,51 +235,6 @@ class ResultStore:
         self.stats.hits += 1
         return json.loads(payload)
 
-    def put(
-        self,
-        key: str,
-        document: dict,
-        *,
-        kind: str,
-        config_hash: str,
-        page_url: str | None = None,
-        probe: str | None = None,
-    ) -> bool:
-        """Durably store ``document`` under ``key``; idempotent.
-
-        Returns ``False`` (writing nothing) when the key already exists
-        — content addressing makes re-puts of the same key equivalent.
-        The artifact append and the index insert commit in one
-        transaction, which is the per-visit write-ahead step.
-        """
-        if self.contains(key):
-            return False
-        payload = (canonical_json(document) + "\n").encode()
-        handle = self._append_handle()
-        handle.seek(0, os.SEEK_END)
-        offset = handle.tell()
-        handle.write(payload)
-        handle.flush()
-        with self._db:
-            self._db.execute(
-                "INSERT INTO entries (key, kind, offset, length, payload_hash,"
-                " config_hash, page_url, probe, created_unix)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    key,
-                    kind,
-                    offset,
-                    len(payload),
-                    blake2b_hex(payload),
-                    config_hash,
-                    page_url,
-                    probe,
-                    time.time(),
-                ),
-            )
-        self.stats.writes += 1
-        return True
-
     # -- named runs and the visit journal ------------------------------
 
     def begin_run(
@@ -313,20 +273,6 @@ class ResultStore:
             )
         return prior
 
-    def journal_visit(self, name: str, key: str, source: str = "fresh") -> None:
-        """Journal one completed visit (committed immediately)."""
-        with self._db:
-            row = self._db.execute(
-                "SELECT COALESCE(MAX(seq), -1) + 1 FROM journal"
-                " WHERE run_name = ?",
-                (name,),
-            ).fetchone()
-            self._db.execute(
-                "INSERT INTO journal (run_name, seq, key, source, created_unix)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (name, row[0], key, source, time.time()),
-            )
-
     def put_batch(
         self,
         entries: list[dict],
@@ -336,15 +282,15 @@ class ResultStore:
     ) -> int:
         """Write several entries + journal rows in **one** transaction.
 
-        ``entries`` items carry the same fields as :meth:`put` keyword
-        arguments (``key``, ``document``, ``kind``, ``config_hash``,
-        optional ``page_url``/``probe``); existing keys are skipped.
+        ``entries`` items are dicts with ``key``, ``document``, ``kind``,
+        ``config_hash`` and optional ``page_url``/``probe``; existing
+        keys (and repeats within the batch) are skipped.
         ``journal`` rows are ``(run_name, key, source)`` triples and
         ``run_visits`` rows are ``(run_name, position, key)`` — both
         commit atomically with the entry index, so a batch is either
         fully durable or (at worst) orphaned artifact bytes that ``gc``
-        compacts away.  This is the streaming executor's write-through
-        batching: one fsync-ish commit per *batch* instead of per visit.
+        compacts away.  This is the executor's write-through batching:
+        one commit per *batch* instead of per visit.
 
         Returns the number of new entries written.
         """
@@ -411,41 +357,13 @@ class ResultStore:
     def mark_run_complete(self, name: str, n_visits: int) -> None:
         """Flip a run to complete once its visit list has been streamed.
 
-        The streaming executor appends ``run_visits`` rows batch by
-        batch (via :meth:`put_batch`) instead of handing
-        :meth:`finish_run` an O(visits) key list; this is the closing
-        bookend.
+        The executor appends ``run_visits`` rows batch by batch (via
+        :meth:`put_batch`); this is the closing bookend.
         """
         with self._db:
             self._db.execute(
                 "UPDATE runs SET complete = 1, n_visits = ? WHERE name = ?",
                 (n_visits, name),
-            )
-
-    def journal_keys(self, name: str) -> list[str]:
-        """Journaled visit keys of ``name``, in completion order."""
-        return [
-            row[0]
-            for row in self._db.execute(
-                "SELECT key FROM journal WHERE run_name = ? ORDER BY seq",
-                (name,),
-            )
-        ]
-
-    def finish_run(self, name: str, keys: list[str]) -> None:
-        """Record the complete, ordered visit list of a finished run."""
-        with self._db:
-            self._db.execute(
-                "DELETE FROM run_visits WHERE run_name = ?", (name,)
-            )
-            self._db.executemany(
-                "INSERT INTO run_visits (run_name, position, key)"
-                " VALUES (?, ?, ?)",
-                [(name, position, key) for position, key in enumerate(keys)],
-            )
-            self._db.execute(
-                "UPDATE runs SET complete = 1, n_visits = ? WHERE name = ?",
-                (len(keys), name),
             )
 
     def run_names(self) -> list[str]:

@@ -58,6 +58,11 @@ def small_universe(seed: int = 21):
     return cached_universe(SMALL, seed=seed)
 
 
+def entry(key: str, document: dict) -> dict:
+    """One ``put_batch`` entry of kind ``paired``."""
+    return {"key": key, "document": document, "kind": "paired", "config_hash": "c"}
+
+
 def visit_key_for(universe, config, page_index=0, vp_index=0, probe_index=0):
     from repro.measurement.vantage import default_vantage_points
 
@@ -158,21 +163,21 @@ class TestResultStore:
     def test_put_get_roundtrip(self, tmp_path):
         with ResultStore(str(tmp_path / "st")) as store:
             document = {"format": "x/1", "value": [1, 2, 3]}
-            assert store.put("k1", document, kind="paired", config_hash="c")
+            assert store.put_batch([entry("k1", document)]) == 1
             assert store.contains("k1")
             assert store.get("k1") == document
             assert store.get("missing") is None
 
     def test_put_is_idempotent(self, tmp_path):
         with ResultStore(str(tmp_path / "st")) as store:
-            assert store.put("k1", {"a": 1}, kind="paired", config_hash="c")
-            assert not store.put("k1", {"a": 2}, kind="paired", config_hash="c")
+            assert store.put_batch([entry("k1", {"a": 1})]) == 1
+            assert store.put_batch([entry("k1", {"a": 2})]) == 0
             assert store.get("k1") == {"a": 1}
 
     def test_survives_reopen(self, tmp_path):
         root = str(tmp_path / "st")
         with ResultStore(root) as store:
-            store.put("k1", {"a": 1}, kind="paired", config_hash="c")
+            store.put_batch([entry("k1", {"a": 1})])
         with ResultStore(root) as store:
             assert store.get("k1") == {"a": 1}
 
@@ -191,8 +196,7 @@ class TestResultStore:
     def test_get_detects_corruption(self, tmp_path):
         root = str(tmp_path / "st")
         with ResultStore(root) as store:
-            store.put("k1", {"a": "payload-to-corrupt"}, kind="paired",
-                      config_hash="c")
+            store.put_batch([entry("k1", {"a": "payload-to-corrupt"})])
         artifacts = os.path.join(root, "artifacts.jsonl")
         data = bytearray(open(artifacts, "rb").read())
         data[10] ^= 0xFF
@@ -433,7 +437,7 @@ class TestGc:
                 )
             )
             # an anonymous run's entries are reachable from no run
-            store.put("orphan", {"x": 1}, kind="paired", config_hash="c")
+            store.put_batch([entry("orphan", {"x": 1})])
 
             dry = store.gc(dry_run=True)
             assert dry.dry_run and dry.entries_pruned == 1
@@ -517,6 +521,30 @@ class TestConsecutiveReplay:
                 visit_fingerprint(v) for v in fresh.visits
             ]
             assert warm.resumed_connections() == fresh.resumed_connections()
+
+    def test_named_walk_run(self, tmp_path):
+        universe = cached_universe(GeneratorConfig(n_sites=6), seed=4)
+        with ResultStore(str(tmp_path / "st")) as store:
+            plan = ConsecutivePlan(
+                universe, pages=universe.pages[:2], seed=2, store=store,
+                run_name="walk",
+            )
+            fresh = execute(plan)
+            assert store.run_names() == ["walk"]
+            info = store.run_info("walk")
+            assert info.complete and info.n_visits == 2
+            # h2 walk, then h3 walk; the walk keys are pinned
+            assert store.run_keys("walk") == [
+                "f2e46890d715217dab1fbdb6a36b3927",
+                "140e2342eb319329353f550adb8ac71c",
+            ]
+            documents = store.run_outcomes("walk")
+            assert [doc["mode"] for doc in documents] == ["h2-only", "h3-enabled"]
+            assert documents == [run.to_dict() for run in fresh]
+            warm = execute(plan)
+            assert [run.source for run in warm] == ["replay", "replay"]
+            assert store.stats.misses == 2 and store.stats.writes == 2
+            assert store.run_info("walk").complete
 
     def test_walk_round_trip_format_guard(self):
         with pytest.raises(ValueError):

@@ -139,7 +139,10 @@ class TestStoreCli:
 
     def test_gc_dry_run_and_real(self, populated_store, capsys):
         with ResultStore(populated_store) as store:
-            store.put("orphan", {"x": 1}, kind="paired", config_hash="c")
+            store.put_batch([{
+                "key": "orphan", "document": {"x": 1},
+                "kind": "paired", "config_hash": "c",
+            }])
         assert store_main(["gc", populated_store, "--dry-run"]) == 0
         assert "would prune 1" in capsys.readouterr().out
         assert store_main(["gc", populated_store]) == 0
